@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify bench bench-json bench-compare audit-smoke cache-smoke batch-smoke lrs-smoke ops-smoke scale-smoke clean
+.PHONY: all build vet test race verify fuzz-smoke bench bench-json bench-compare audit-smoke cache-smoke batch-smoke lrs-smoke ops-smoke scale-smoke clean
 
 all: verify
 
@@ -28,6 +28,19 @@ verify: build vet test race
 	else \
 		echo "staticcheck not installed; skipping"; \
 	fi
+
+# Fuzz smoke test: run every Fuzz* target in the module for FUZZTIME
+# each. Additive to verify (which already replays the seed corpora); a
+# crasher lands in the package's testdata/fuzz/ for reproduction.
+FUZZTIME ?= 10s
+
+fuzz-smoke:
+	@set -e; for dir in $$(grep -rl --include='*_test.go' --exclude-dir=perfbench --exclude-dir=.bench_build '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for fz in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -d' ' -f2); do \
+			echo "== $$dir $$fz ($(FUZZTIME))"; \
+			$(GO) test $$dir -run '^$$' -fuzz "^$$fz$$" -fuzztime $(FUZZTIME); \
+		done; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem .

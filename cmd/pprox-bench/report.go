@@ -255,10 +255,10 @@ func runAllocBenchmarks() (map[string]AllocStat, error) {
 				}
 			}
 		}},
-		{"crypto_oaep_encrypt", func(b *testing.B) {
+		{"crypto_seal", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ppcrypto.EncryptOAEP(kp.Public, block); err != nil {
+				if _, err := ppcrypto.Seal(kp.Public, block); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -116,7 +116,7 @@ func buildCapturedPost(d *cluster.Deployment, user, item string) (message.PostRe
 	if err != nil {
 		return message.PostRequest{}, err
 	}
-	encUser, err := ppcrypto.EncryptOAEP(d.UAKeys.Pair.Public, userBlock)
+	encUser, err := ppcrypto.Seal(d.UAKeys.Pair.Public, userBlock)
 	if err != nil {
 		return message.PostRequest{}, err
 	}
@@ -124,7 +124,7 @@ func buildCapturedPost(d *cluster.Deployment, user, item string) (message.PostRe
 	if err != nil {
 		return message.PostRequest{}, err
 	}
-	encItem, err := ppcrypto.EncryptOAEP(d.IAKeys.Pair.Public, itemBlock)
+	encItem, err := ppcrypto.Seal(d.IAKeys.Pair.Public, itemBlock)
 	if err != nil {
 		return message.PostRequest{}, err
 	}

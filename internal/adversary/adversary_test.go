@@ -352,7 +352,7 @@ func TestInterceptedGetResponseStaysOpaque(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encKu, err := ppcrypto.EncryptOAEP(st.iaKeys.Pair.Public, ku)
+	encKu, err := ppcrypto.Seal(st.iaKeys.Pair.Public, ku)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func mustEncrypt(t *testing.T, keys *proxy.LayerKeys, id string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ppcrypto.EncryptOAEP(keys.Pair.Public, block)
+	ct, err := ppcrypto.Seal(keys.Pair.Public, block)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func tryDecryptField(secrets map[string][]byte, field string) string {
 	if err != nil {
 		return ""
 	}
-	block, err := ppcrypto.DecryptOAEP(priv, ct)
+	block, err := ppcrypto.Open(priv, ct)
 	if err != nil {
 		return ""
 	}
@@ -131,8 +131,8 @@ func tryDecryptField(secrets map[string][]byte, field string) string {
 // k_u is only held by the client and the IA layer).
 func DecryptInterceptedGetResponse(loot Loot, resp message.GetResponse) ([]string, bool) {
 	// The UA private key cannot decrypt symmetric AES-CTR ciphertext;
-	// the only plausible attack is if k_u were RSA-encrypted for the UA
-	// layer — it never is. Try anyway, as a real adversary would.
+	// the only plausible attack is if k_u were sealed for the UA layer —
+	// it never is. Try anyway, as a real adversary would.
 	ct, err := message.Decode64(resp.EncItems)
 	if err != nil {
 		return nil, false
@@ -146,7 +146,7 @@ func DecryptInterceptedGetResponse(loot Loot, resp message.GetResponse) ([]strin
 		if err != nil {
 			continue
 		}
-		if block, err := ppcrypto.DecryptOAEP(priv, ct); err == nil {
+		if block, err := ppcrypto.Open(priv, ct); err == nil {
 			if items, err := message.DecodeItemList(block); err == nil {
 				return items, true
 			}

@@ -12,7 +12,7 @@ package client
 import (
 	"bytes"
 	"context"
-	"crypto/rsa"
+	"crypto/ecdh"
 	"errors"
 	"fmt"
 	"io"
@@ -54,7 +54,7 @@ type Client struct {
 
 // WithGetRetries returns a copy of the client that retries failed get
 // calls up to n extra attempts (jittered by a doubling backoff). Only gets
-// retry: every attempt is freshly encrypted end to end — new OAEP
+// retry: every attempt is freshly encrypted end to end — new sealing
 // randomness on the user identifier and a brand-new temporary key — so a
 // network observer cannot link a retry to the attempt it repeats.
 //
@@ -190,7 +190,7 @@ func (c *Client) getOnce(ctx context.Context, user string) ([]string, int, error
 	if err != nil {
 		return nil, 0, err
 	}
-	encKu, err := ppcrypto.EncryptOAEP(c.bundle.IAPublic, ku)
+	encKu, err := ppcrypto.Seal(c.bundle.IAPublic, ku)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -251,12 +251,12 @@ func (c *Client) getPlain(ctx context.Context, user string) ([]string, int, erro
 
 // encryptID pads an identifier to the constant block size and encrypts it
 // for exactly one layer.
-func (c *Client) encryptID(id string, pub *rsa.PublicKey) (string, error) {
+func (c *Client) encryptID(id string, pub *ecdh.PublicKey) (string, error) {
 	block, err := ppcrypto.PadID(id)
 	if err != nil {
 		return "", err
 	}
-	ct, err := ppcrypto.EncryptOAEP(pub, block)
+	ct, err := ppcrypto.Seal(pub, block)
 	if err != nil {
 		return "", err
 	}

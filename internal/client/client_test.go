@@ -15,8 +15,7 @@ import (
 	"pprox/internal/proxy"
 )
 
-// Shared key material: RSA generation is slow and the tests only need any
-// valid pair per layer.
+// Shared key material: the tests only need any valid pair per layer.
 var (
 	bundleOnce sync.Once
 	sharedUA   *proxy.LayerKeys
@@ -78,7 +77,7 @@ func assertDecryptsTo(t *testing.T, keys *proxy.LayerKeys, field, want string) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	block, err := ppcrypto.DecryptOAEP(keys.Pair.Private, ct)
+	block, err := ppcrypto.Open(keys.Pair.Private, ct)
 	if err != nil {
 		t.Fatalf("decrypt: %v", err)
 	}
@@ -96,7 +95,7 @@ func tryDecrypt(keys *proxy.LayerKeys, field string) error {
 	if err != nil {
 		return err
 	}
-	_, err = ppcrypto.DecryptOAEP(keys.Pair.Private, ct)
+	_, err = ppcrypto.Open(keys.Pair.Private, ct)
 	return err
 }
 
@@ -138,7 +137,7 @@ func TestGetDecryptsAndDiscardsPadding(t *testing.T) {
 			t.Errorf("decode temp key: %v", err)
 			return
 		}
-		ku, err := ppcrypto.DecryptOAEP(ia.Pair.Private, ct)
+		ku, err := ppcrypto.Open(ia.Pair.Private, ct)
 		if err != nil {
 			t.Errorf("decrypt temp key: %v", err)
 			return
@@ -268,7 +267,7 @@ func TestGetRetriesAreFreshlyEncrypted(t *testing.T) {
 			return
 		}
 		ct, _ := message.Decode64(req.EncTempKey)
-		ku, err := ppcrypto.DecryptOAEP(ia.Pair.Private, ct)
+		ku, err := ppcrypto.Open(ia.Pair.Private, ct)
 		if err != nil {
 			t.Errorf("decrypt temp key: %v", err)
 			return
@@ -289,7 +288,7 @@ func TestGetRetriesAreFreshlyEncrypted(t *testing.T) {
 		t.Errorf("items = %v", items)
 	}
 
-	// Three attempts, each a completely fresh encryption: OAEP randomness
+	// Three attempts, each a completely fresh encryption: a new ephemeral key
 	// on the user identifier and a brand-new temporary key. Identical
 	// ciphertexts would let an observer link a retry to the original.
 	mu.Lock()

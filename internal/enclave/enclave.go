@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,17 +76,51 @@ func Measure(ci CodeIdentity) Measurement {
 }
 
 // Secrets is the read-only view of provisioned key material that ECALL
-// handlers receive. It is only ever constructed inside the enclave.
+// handlers receive. It is only ever constructed inside the enclave, once
+// per provisioning.
 type Secrets interface {
 	// Get returns the named secret, or false if it was not provisioned.
 	Get(name string) ([]byte, bool)
+	// Parsed returns parse applied to the named secret, computed at most
+	// once per provisioning (two concurrent first calls may both parse;
+	// one result is kept), so handlers do not re-parse key material on
+	// every message. Re-provisioning installs a fresh view: parsed values
+	// of replaced secrets leave enclave memory with them. A name must
+	// always be parsed by the same function; a failed parse is not kept.
+	// A secret that was not provisioned fails with ErrSecretMissing.
+	Parsed(name string, parse func([]byte) (any, error)) (any, error)
 }
 
-type secretsView map[string][]byte
+// ErrSecretMissing reports a secret that was not provisioned.
+var ErrSecretMissing = errors.New("enclave: secret not provisioned")
 
-func (s secretsView) Get(name string) ([]byte, bool) {
-	v, ok := s[name]
+// secretsView is one provisioning's secrets and the values parsed from
+// them.
+type secretsView struct {
+	raw    map[string][]byte
+	pages  int      // EPC pages charged for raw
+	parsed sync.Map // name → parse(raw[name])
+}
+
+func (s *secretsView) Get(name string) ([]byte, bool) {
+	v, ok := s.raw[name]
 	return v, ok
+}
+
+func (s *secretsView) Parsed(name string, parse func([]byte) (any, error)) (any, error) {
+	if v, ok := s.parsed.Load(name); ok {
+		return v, nil
+	}
+	raw, ok := s.raw[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrSecretMissing, name)
+	}
+	v, err := parse(raw)
+	if err != nil {
+		return nil, err
+	}
+	v, _ = s.parsed.LoadOrStore(name, v)
+	return v, nil
 }
 
 // Handler is an ECALL entry point: it runs inside the enclave with access
@@ -102,7 +137,7 @@ type Enclave struct {
 
 	mu          sync.Mutex
 	kemPriv     *ecdh.PrivateKey
-	secrets     secretsView
+	secrets     *secretsView
 	provisioned bool
 	compromised bool
 	handlers    map[string]Handler
@@ -205,23 +240,48 @@ func (e *Enclave) Quote(nonce []byte) Quote {
 }
 
 // Provision installs the layer's key material after the provisioner has
-// verified a quote. Keys are copied so the caller cannot retain aliases
-// into enclave memory.
+// verified a quote, replacing any earlier provisioning (and the values
+// handlers parsed from it). Keys are copied so the caller cannot retain
+// aliases into enclave memory.
 func (e *Enclave) Provision(secrets map[string][]byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pages := 0
-	cp := make(secretsView, len(secrets))
+	view := &secretsView{raw: make(map[string][]byte, len(secrets))}
 	for k, v := range secrets {
-		cp[k] = append([]byte(nil), v...)
-		pages += pagesFor(len(v))
+		view.raw[k] = append([]byte(nil), v...)
+		view.pages += pagesFor(len(v))
 	}
-	if err := e.allocLocked(pages); err != nil {
+	old := 0
+	if e.secrets != nil {
+		old = e.secrets.pages
+	}
+	e.epcUsedPages -= old
+	if err := e.allocLocked(view.pages); err != nil {
+		e.epcUsedPages += old
 		return fmt.Errorf("provision secrets: %w", err)
 	}
-	e.secrets = cp
+	e.secrets = view
 	e.provisioned = true
 	return nil
+}
+
+// ParsedSecretNames lists the secrets handlers have parsed under the
+// current provisioning (see Secrets.Parsed), sorted. Only names leave the
+// enclave; tests use it to check that re-provisioning leaves no stale
+// parsed key resident.
+func (e *Enclave) ParsedSecretNames() []string {
+	e.mu.Lock()
+	view := e.secrets
+	e.mu.Unlock()
+	var names []string
+	if view != nil {
+		view.parsed.Range(func(k, _ any) bool {
+			names = append(names, k.(string))
+			return true
+		})
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Provisioned reports whether secrets have been installed.
@@ -418,9 +478,11 @@ func pagesFor(bytes int) int {
 // the adversary's loot.
 func (e *Enclave) Compromise() map[string][]byte {
 	e.mu.Lock()
-	loot := make(map[string][]byte, len(e.secrets))
-	for k, v := range e.secrets {
-		loot[k] = append([]byte(nil), v...)
+	loot := map[string][]byte{}
+	if e.secrets != nil {
+		for k, v := range e.secrets.raw {
+			loot[k] = append([]byte(nil), v...)
+		}
 	}
 	e.compromised = true
 	e.mu.Unlock()

@@ -235,6 +235,67 @@ func TestEPCAccounting(t *testing.T) {
 	}
 }
 
+func TestReprovisionReplacesSecretsAndTheirPages(t *testing.T) {
+	p, as := newTestPlatform(t)
+	e := p.LaunchWithEPC(uaIdentity, 4)
+	for i := 0; i < 10; i++ {
+		if err := AttestAndProvision(as, e, Measure(uaIdentity), map[string][]byte{"k": make([]byte, PageSize)}); err != nil {
+			t.Fatalf("provisioning %d: %v", i, err)
+		}
+	}
+	if used, _ := e.EPCUsage(); used != 1 {
+		t.Errorf("EPC pages in use after re-provisioning = %d, want 1: replaced secrets leak pages", used)
+	}
+}
+
+// TestParsedOncePerProvisioning hammers Secrets.Parsed from a batch
+// crossing's concurrent workers: one parse result per secret survives,
+// and re-provisioning drops it with the secret it came from.
+func TestParsedOncePerProvisioning(t *testing.T) {
+	p, as := newTestPlatform(t)
+	e := p.Launch(uaIdentity)
+	parse := func(raw []byte) (any, error) { return string(raw), nil }
+	e.Register("use", func(s Secrets, _ *KV, _ []byte) ([]byte, error) {
+		v, err := s.Parsed("sk", parse)
+		if err != nil {
+			return nil, err
+		}
+		return []byte(v.(string)), nil
+	})
+	e.Register("missing", func(s Secrets, _ *KV, _ []byte) ([]byte, error) {
+		_, err := s.Parsed("absent", parse)
+		return nil, err
+	})
+	provision := func(key string) {
+		t.Helper()
+		if err := AttestAndProvision(as, e, Measure(uaIdentity), map[string][]byte{"sk": []byte(key)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, key := range []string{"old", "new"} {
+		provision(key)
+		outs, errs, err := e.CallBatch("use", make([][]byte, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range outs {
+			if errs[i] != nil || string(outs[i]) != key {
+				t.Fatalf("message %d: (%q, %v), want %q", i, outs[i], errs[i], key)
+			}
+		}
+		if names := e.ParsedSecretNames(); len(names) != 1 || names[0] != "sk" {
+			t.Fatalf("parsed secrets after provisioning %q = %v, want only sk", key, names)
+		}
+		if v, _ := e.secrets.parsed.Load("sk"); v != key {
+			t.Fatalf("parsed sk after provisioning %q = %v, want the current key", key, v)
+		}
+	}
+	if _, err := e.Ecall("missing", nil); !errors.Is(err, ErrSecretMissing) {
+		t.Errorf("parsing an unprovisioned secret: err = %v, want ErrSecretMissing", err)
+	}
+}
+
 func TestEPCExhaustedAtProvisioning(t *testing.T) {
 	p, as := newTestPlatform(t)
 	e := p.LaunchWithEPC(uaIdentity, 1)

@@ -9,7 +9,7 @@ import (
 
 // DefBuckets are the default latency histogram bucket upper bounds, in
 // seconds. They span the range the PProx pipeline produces: enclave calls
-// (tens of microseconds to a few milliseconds of RSA), next-hop forwards
+// (tens of microseconds to a few milliseconds of public-key crypto), next-hop forwards
 // (sub-millisecond on the in-memory network, milliseconds on TCP), and
 // shuffle waits (up to the flush timer, hundreds of milliseconds).
 var DefBuckets = []float64{

@@ -2,13 +2,18 @@ package ppcrypto
 
 import (
 	"bytes"
+	"crypto/ecdh"
+	"crypto/rand"
+	"crypto/rsa"
+	"crypto/x509"
+	"encoding/hex"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// testKeyPair is generated once; RSA generation is slow and the tests only
-// need any valid pair.
+// testKeyPair is generated once; the tests only need any valid pair.
 var testKeyPair = mustGenerate()
 
 func mustGenerate() *KeyPair {
@@ -97,65 +102,184 @@ func TestPadIDProperty(t *testing.T) {
 	}
 }
 
+func TestSealOpenRoundTrip(t *testing.T) {
+	block, err := PadID("user-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ku := mustKey(t)
+	for _, tc := range []struct {
+		name string
+		pt   []byte
+		size int
+	}{{"identifier", block, SealedIDSize}, {"temporary key", ku, SealedKeySize}} {
+		ct, err := Seal(testKeyPair.Public, tc.pt)
+		if err != nil {
+			t.Fatalf("%s: Seal: %v", tc.name, err)
+		}
+		if len(ct) != tc.size {
+			t.Fatalf("%s: ciphertext size %d, want constant %d", tc.name, len(ct), tc.size)
+		}
+		pt, err := Open(testKeyPair.Private, ct)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", tc.name, err)
+		}
+		if !bytes.Equal(pt, tc.pt) {
+			t.Errorf("%s: round trip mismatch", tc.name)
+		}
+	}
+}
+
+// TestOAEPRoundTrip keeps the deprecated names working: external timing
+// code still calls them, so each must interoperate with the suite.
 func TestOAEPRoundTrip(t *testing.T) {
 	block, err := PadID("user-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := EncryptOAEP(testKeyPair.Public, block)
+	viaOld, err := EncryptOAEP(testKeyPair.Public, block)
 	if err != nil {
 		t.Fatalf("EncryptOAEP: %v", err)
 	}
-	if len(ct) != RSACiphertextSize {
-		t.Fatalf("ciphertext size %d, want constant %d", len(ct), RSACiphertextSize)
-	}
-	pt, err := DecryptOAEP(testKeyPair.Private, ct)
+	viaNew, err := Seal(testKeyPair.Public, block)
 	if err != nil {
-		t.Fatalf("DecryptOAEP: %v", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(pt, block) {
-		t.Error("OAEP round trip mismatch")
+	for name, open := range map[string]func() ([]byte, error){
+		"EncryptOAEP → Open": func() ([]byte, error) { return Open(testKeyPair.Private, viaOld) },
+		"Seal → DecryptOAEP": func() ([]byte, error) { return DecryptOAEP(testKeyPair.Private, viaNew) },
+	} {
+		if pt, err := open(); err != nil || !bytes.Equal(pt, block) {
+			t.Errorf("%s: (%x, %v), want the plaintext back", name, pt, err)
+		}
 	}
 }
 
-func TestOAEPIsRandomized(t *testing.T) {
+func TestSealIsRandomized(t *testing.T) {
 	// §4.1: randomized encryption of the same identifier must yield
 	// different ciphertexts, which is why it cannot serve as a pseudonym.
 	block, err := PadID("user-1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := EncryptOAEP(testKeyPair.Public, block)
+	a, err := Seal(testKeyPair.Public, block)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EncryptOAEP(testKeyPair.Public, block)
+	b, err := Seal(testKeyPair.Public, block)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(a, b) {
-		t.Error("two OAEP encryptions of the same plaintext are identical")
+		t.Error("two seals of the same plaintext are identical")
 	}
 }
 
-func TestDecryptOAEPWrongKey(t *testing.T) {
+func TestOpenWrongKey(t *testing.T) {
 	other, err := GenerateKeyPair()
 	if err != nil {
 		t.Fatal(err)
 	}
 	block, _ := PadID("user-1")
-	ct, err := EncryptOAEP(testKeyPair.Public, block)
+	ct, err := Seal(testKeyPair.Public, block)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecryptOAEP(other.Private, ct); err == nil {
-		t.Error("DecryptOAEP succeeded with the wrong private key")
+	if _, err := Open(other.Private, ct); !errors.Is(err, ErrOpen) {
+		t.Errorf("Open with the wrong private key: err = %v, want ErrOpen", err)
 	}
 }
 
-func TestDecryptOAEPRejectsWrongSize(t *testing.T) {
-	if _, err := DecryptOAEP(testKeyPair.Private, make([]byte, 17)); err == nil {
-		t.Error("DecryptOAEP accepted a short ciphertext")
+// lowOrderPoints are X25519 public values whose shared secret with any
+// key is all-zero; ECDH refuses them.
+var lowOrderPoints = [][]byte{
+	make([]byte, 32),                       // 0
+	append([]byte{1}, make([]byte, 31)...), // 1
+}
+
+func TestOpenRejectsMalformed(t *testing.T) {
+	block, _ := PadID("user-1")
+	good, err := Seal(testKeyPair.Public, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withEnc := func(enc []byte) []byte {
+		ct := bytes.Clone(good)
+		copy(ct, enc)
+		return ct
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-1] ^= 1
+	cases := []struct {
+		name string
+		ct   []byte
+		want error
+	}{
+		{"empty", nil, ErrCiphertextSize},
+		{"shorter than the overhead", make([]byte, SealOverhead-1), ErrCiphertextSize},
+		{"all-zero enc", withEnc(lowOrderPoints[0]), ErrOpen},
+		{"low-order enc", withEnc(lowOrderPoints[1]), ErrOpen},
+		{"flipped tag byte", flipped, ErrOpen},
+		{"truncated", good[:len(good)-1], ErrOpen},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Open(testKeyPair.Private, tc.ct); !errors.Is(err, tc.want) {
+				t.Errorf("Open: err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// fixedX25519 builds a key from constant bytes, so every fuzz worker
+// process agrees with the coordinator on the key and the seeds.
+func fixedX25519(f *testing.F, b byte) *ecdh.PrivateKey {
+	k, err := ecdh.X25519().NewPrivateKey(bytes.Repeat([]byte{b}, 32))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return k
+}
+
+// FuzzOpen feeds Open arbitrary bytes: it must never panic, and nothing
+// but the one genuine seal may open. Recipient and ephemeral keys are
+// fixed, so the genuine seal is the same bytes in every worker and the
+// seeds stay one mutation away from right-key tag and ECDH rejection.
+func FuzzOpen(f *testing.F) {
+	priv := fixedX25519(f, 0x42)
+	block, _ := PadID("user-1")
+	good, err := sealWith(fixedX25519(f, 0x24), priv.PublicKey(), block)
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-1] ^= 1
+	zeroEnc := bytes.Clone(good)
+	copy(zeroEnc, lowOrderPoints[0])
+	f.Add(make([]byte, SealedIDSize-1))
+	f.Add(zeroEnc)
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, ct []byte) {
+		pt, err := Open(priv, ct)
+		if err == nil {
+			if bytes.Equal(ct, good) && bytes.Equal(pt, block) {
+				return
+			}
+			t.Fatalf("Open accepted %d fuzzed bytes (plaintext %x)", len(ct), pt)
+		}
+		if !errors.Is(err, ErrOpen) && !errors.Is(err, ErrCiphertextSize) {
+			t.Fatalf("Open failed with an unexpected error: %v", err)
+		}
+	})
+}
+
+// TestHKDFSHA256Vector checks the key schedule's HKDF against RFC 5869
+// test case 3 (SHA-256, empty salt and info).
+func TestHKDFSHA256Vector(t *testing.T) {
+	ikm := bytes.Repeat([]byte{0x0b}, 22)
+	want, _ := hex.DecodeString("8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8")
+	if got := hkdfSHA256(ikm, nil, len(want)); !bytes.Equal(got, want) {
+		t.Fatalf("hkdfSHA256 = %x, want %x", got, want)
 	}
 }
 
@@ -322,7 +446,7 @@ func TestKeyMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pub.N.Cmp(testKeyPair.Public.N) != 0 || pub.E != testKeyPair.Public.E {
+	if !pub.Equal(testKeyPair.Public) {
 		t.Error("public key round trip mismatch")
 	}
 
@@ -334,8 +458,29 @@ func TestKeyMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if priv.D.Cmp(testKeyPair.Private.D) != 0 {
+	if !priv.Equal(testKeyPair.Private) {
 		t.Error("private key round trip mismatch")
+	}
+}
+
+func TestUnmarshalRejectsRSAKeys(t *testing.T) {
+	rsaKey, err := rsa.GenerateKey(rand.Reader, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	privDER, err := x509.MarshalPKCS8PrivateKey(rsaKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pubDER, err := x509.MarshalPKIXPublicKey(&rsaKey.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalPrivateKey(privDER); !errors.Is(err, ErrKeySuite) {
+		t.Errorf("UnmarshalPrivateKey(RSA): err = %v, want ErrKeySuite", err)
+	}
+	if _, err := UnmarshalPublicKey(pubDER); !errors.Is(err, ErrKeySuite) {
+		t.Errorf("UnmarshalPublicKey(RSA): err = %v, want ErrKeySuite", err)
 	}
 }
 
@@ -351,6 +496,9 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 func TestConstantCiphertextSizes(t *testing.T) {
 	// §4.3: "The size of all encrypted messages is constant, by using
 	// fixed-size user and item identifiers, and padding when necessary."
+	if SealedIDSize != 112 || SealedKeySize != 80 {
+		t.Fatalf("sealed sizes %d/%d, want 32+64+16 = 112 and 32+32+16 = 80", SealedIDSize, SealedKeySize)
+	}
 	key := mustKey(t)
 	var sizes []int
 	for _, id := range []string{"u", "a-much-longer-user-identifier-string"} {
@@ -358,7 +506,7 @@ func TestConstantCiphertextSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := EncryptOAEP(testKeyPair.Public, block)
+		ct, err := Seal(testKeyPair.Public, block)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +516,14 @@ func TestConstantCiphertextSizes(t *testing.T) {
 		}
 		sizes = append(sizes, len(ct), len(det))
 	}
-	if sizes[0] != sizes[2] || sizes[1] != sizes[3] {
+	if sizes[0] != SealedIDSize || sizes[2] != SealedIDSize || sizes[1] != sizes[3] {
 		t.Errorf("ciphertext sizes vary with identifier length: %v", sizes)
+	}
+	ct, err := Seal(testKeyPair.Public, mustKey(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ct) != SealedKeySize {
+		t.Errorf("sealed temporary key is %d bytes, want %d", len(ct), SealedKeySize)
 	}
 }

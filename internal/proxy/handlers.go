@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"crypto/ecdh"
 	"crypto/rand"
 	"encoding/json"
 	"errors"
@@ -186,17 +187,27 @@ func mintIdem() (string, error) {
 	return message.Encode64(b[:]), nil
 }
 
-func privateKey(s enclave.Secrets, tenant string) (*ppcrypto.KeyPair, error) {
-	der, err := getSecret(s, SecretPrivateKey, tenant)
-	if err != nil {
-		return nil, err
-	}
-	priv, err := ppcrypto.UnmarshalPrivateKey(der)
+// openField opens a base64 field the user-side library sealed for this
+// layer under the tenant's private key. The key is parsed once per
+// provisioning (enclave.Secrets.Parsed), not per message. Every failure
+// maps to errEnclave.
+func openField(s enclave.Secrets, tenant, field string) ([]byte, error) {
+	k, err := s.Parsed(TenantSecret(SecretPrivateKey, tenant), parsePrivateKey)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errEnclave, err)
 	}
-	return &ppcrypto.KeyPair{Private: priv, Public: &priv.PublicKey}, nil
+	ct, err := message.Decode64(field)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errEnclave, err)
+	}
+	pt, err := ppcrypto.Open(k.(*ecdh.PrivateKey), ct)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errEnclave, err)
+	}
+	return pt, nil
 }
+
+func parsePrivateKey(der []byte) (any, error) { return ppcrypto.UnmarshalPrivateKey(der) }
 
 // NewUAEnclave launches a User Anonymizer enclave on the platform and
 // registers its measured code. The UA layer sees the user identifier in
@@ -206,21 +217,13 @@ func NewUAEnclave(p *enclave.Platform) *enclave.Enclave {
 	e := p.Launch(UAIdentity)
 
 	pseudonymizeUser := func(s enclave.Secrets, tenant, encUser string) (string, error) {
-		kp, err := privateKey(s, tenant)
-		if err != nil {
-			return "", err
-		}
 		kUA, err := getSecret(s, SecretPermanentKey, tenant)
 		if err != nil {
 			return "", err
 		}
-		ct, err := message.Decode64(encUser)
+		block, err := openField(s, tenant, encUser)
 		if err != nil {
-			return "", fmt.Errorf("%w: %v", errEnclave, err)
-		}
-		block, err := ppcrypto.DecryptOAEP(kp.Private, ct)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", errEnclave, err)
+			return "", err
 		}
 		u, err := ppcrypto.UnpadID(block)
 		if err != nil {
@@ -334,17 +337,9 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 	}
 
 	decryptItem := func(s enclave.Secrets, tenant, encItem string) (string, error) {
-		kp, err := privateKey(s, tenant)
+		block, err := openField(s, tenant, encItem)
 		if err != nil {
 			return "", err
-		}
-		ct, err := message.Decode64(encItem)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", errEnclave, err)
-		}
-		block, err := ppcrypto.DecryptOAEP(kp.Private, ct)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", errEnclave, err)
 		}
 		item, err := ppcrypto.UnpadID(block)
 		if err != nil {
@@ -446,17 +441,9 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 		if err := message.Unmarshal(body, &req); err != nil {
 			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
-		kp, err := privateKey(s, req.Tenant)
+		ku, err := openField(s, req.Tenant, req.EncTempKey)
 		if err != nil {
 			return nil, err
-		}
-		ct, err := message.Decode64(req.EncTempKey)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errEnclave, err)
-		}
-		ku, err := ppcrypto.DecryptOAEP(kp.Private, ct)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errEnclave, err)
 		}
 		if len(ku) != ppcrypto.SymmetricKeySize {
 			return nil, fmt.Errorf("%w: temporary key has wrong size", errEnclave)

@@ -66,7 +66,7 @@ func (f *layerFixture) encFor(t *testing.T, keys *LayerKeys, id string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := ppcrypto.EncryptOAEP(keys.Pair.Public, block)
+	ct, err := ppcrypto.Seal(keys.Pair.Public, block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestUAGetEcallPreservesTempKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encKu, err := ppcrypto.EncryptOAEP(f.iaKeys.Pair.Public, ku)
+	encKu, err := ppcrypto.Seal(f.iaKeys.Pair.Public, ku)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestUAEcallRejectsBadInput(t *testing.T) {
 		{"not base64", `{"enc_user":"!!!","enc_item":"AAAA"}`},
 		{"wrong size ciphertext", `{"enc_user":"AAAA","enc_item":"AAAA"}`},
 		{"garbage ciphertext", fmt.Sprintf(`{"enc_user":%q,"enc_item":"AAAA"}`,
-			message.Encode64(make([]byte, ppcrypto.RSACiphertextSize)))},
+			message.Encode64(make([]byte, ppcrypto.SealedIDSize)))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,6 +166,70 @@ func TestUAEcallRejectsBadInput(t *testing.T) {
 				t.Errorf("err = %v, want errEnclave", err)
 			}
 		})
+	}
+}
+
+// TestOpenFailuresMapToErrEnclave drives every way ppcrypto.Open can
+// reject a sealed field through both enclaves' ECALLs: the host must see
+// errEnclave and nothing finer, whichever check failed.
+func TestOpenFailuresMapToErrEnclave(t *testing.T) {
+	f := newFixture(t)
+	seal := func(keys *LayerKeys, pt []byte) []byte {
+		ct, err := ppcrypto.Seal(keys.Pair.Public, pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	block, err := ppcrypto.PadID("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ku, err := ppcrypto.NewSymmetricKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowOrder := append([]byte{1}, make([]byte, 31)...)
+	parked := f.iaEncl.KV().Len()
+	corrupt := map[string]func(ct []byte) []byte{
+		"wrong length":  func(ct []byte) []byte { return ct[:ppcrypto.SealOverhead-1] },
+		"truncated":     func(ct []byte) []byte { return ct[:len(ct)-1] },
+		"all-zero enc":  func(ct []byte) []byte { copy(ct, make([]byte, 32)); return ct },
+		"low-order enc": func(ct []byte) []byte { copy(ct, lowOrder); return ct },
+		"failed tag":    func(ct []byte) []byte { ct[len(ct)-1] ^= 1; return ct },
+	}
+	for name, mangle := range corrupt {
+		t.Run("ua/"+name, func(t *testing.T) {
+			in, err := message.Marshal(message.GetRequest{
+				EncUser:    message.Encode64(mangle(seal(f.uaKeys, block))),
+				EncTempKey: message.Encode64(seal(f.iaKeys, ku)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.uaEncl.Ecall("ua/get", in); !errors.Is(err, errEnclave) {
+				t.Errorf("err = %v, want errEnclave", err)
+			}
+		})
+		t.Run("ia/"+name, func(t *testing.T) {
+			body, err := message.Marshal(message.GetRequest{
+				EncUser:    f.pseudonym(t, f.uaKeys, "alice"),
+				EncTempKey: message.Encode64(mangle(seal(f.iaKeys, ku))),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			framed, err := message.Marshal(iaGetCall{Handle: "h-open-" + name, Body: body})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.iaEncl.Ecall("ia/get", framed); !errors.Is(err, errEnclave) {
+				t.Errorf("err = %v, want errEnclave", err)
+			}
+		})
+	}
+	if f.iaEncl.KV().Len() != parked {
+		t.Error("a rejected request parked a temporary key")
 	}
 }
 
@@ -250,7 +314,7 @@ func TestIAGetRoundTripThroughKV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encKu, err := ppcrypto.EncryptOAEP(f.iaKeys.Pair.Public, ku)
+	encKu, err := ppcrypto.Seal(f.iaKeys.Pair.Public, ku)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +395,7 @@ func TestIAGetRoundTripThroughKV(t *testing.T) {
 func TestIAGetRejectsWrongSizeTempKey(t *testing.T) {
 	f := newFixture(t)
 	// Encrypt a 16-byte blob as the "temp key": must be rejected.
-	short, err := ppcrypto.EncryptOAEP(f.iaKeys.Pair.Public, make([]byte, 16))
+	short, err := ppcrypto.Seal(f.iaKeys.Pair.Public, make([]byte, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +421,7 @@ func TestIAGetRejectsWrongSizeTempKey(t *testing.T) {
 func TestIAGetResponseTruncatesOversizedLists(t *testing.T) {
 	f := newFixture(t)
 	ku, _ := ppcrypto.NewSymmetricKey()
-	encKu, _ := ppcrypto.EncryptOAEP(f.iaKeys.Pair.Public, ku)
+	encKu, _ := ppcrypto.Seal(f.iaKeys.Pair.Public, ku)
 	reqBody, _ := message.Marshal(message.GetRequest{
 		EncUser:    f.pseudonym(t, f.uaKeys, "y"),
 		EncTempKey: message.Encode64(encKu),
@@ -402,7 +466,7 @@ func TestIAGetResponseConstantSize(t *testing.T) {
 	sizes := map[int]bool{}
 	for _, n := range []int{1, 7, message.MaxRecommendations} {
 		ku, _ := ppcrypto.NewSymmetricKey()
-		encKu, _ := ppcrypto.EncryptOAEP(f.iaKeys.Pair.Public, ku)
+		encKu, _ := ppcrypto.Seal(f.iaKeys.Pair.Public, ku)
 		reqBody, _ := message.Marshal(message.GetRequest{
 			EncUser:    f.pseudonym(t, f.uaKeys, "z"),
 			EncTempKey: message.Encode64(encKu),

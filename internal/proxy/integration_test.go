@@ -572,7 +572,7 @@ func encryptIDForTest(keys *proxy.LayerKeys, id string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ct, err := ppcrypto.EncryptOAEP(keys.Pair.Public, block)
+	ct, err := ppcrypto.Seal(keys.Pair.Public, block)
 	if err != nil {
 		return "", err
 	}

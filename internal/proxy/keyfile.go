@@ -3,6 +3,7 @@ package proxy
 import (
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"pprox/internal/ppcrypto"
@@ -112,7 +113,7 @@ func layerFromJSON(lj LayerKeyJSON) (*LayerKeys, error) {
 	}
 	priv, err := ppcrypto.UnmarshalPrivateKey(der)
 	if err != nil {
-		return nil, err
+		return nil, regenerateHint(err)
 	}
 	perm, err := base64.StdEncoding.DecodeString(lj.PermanentKey)
 	if err != nil {
@@ -122,7 +123,7 @@ func layerFromJSON(lj LayerKeyJSON) (*LayerKeys, error) {
 		return nil, fmt.Errorf("permanent key is %d bytes, want %d", len(perm), ppcrypto.SymmetricKeySize)
 	}
 	return &LayerKeys{
-		Pair:      &ppcrypto.KeyPair{Private: priv, Public: &priv.PublicKey},
+		Pair:      &ppcrypto.KeyPair{Private: priv, Public: priv.PublicKey()},
 		Permanent: perm,
 	}, nil
 }
@@ -159,11 +160,21 @@ func UnmarshalBundleFile(data []byte) (PublicBundle, error) {
 	}
 	uaPub, err := ppcrypto.UnmarshalPublicKey(uaDER)
 	if err != nil {
-		return PublicBundle{}, err
+		return PublicBundle{}, fmt.Errorf("UA public key: %w", regenerateHint(err))
 	}
 	iaPub, err := ppcrypto.UnmarshalPublicKey(iaDER)
 	if err != nil {
-		return PublicBundle{}, err
+		return PublicBundle{}, fmt.Errorf("IA public key: %w", regenerateHint(err))
 	}
 	return PublicBundle{UAPublic: uaPub, IAPublic: iaPub}, nil
+}
+
+// regenerateHint tells the operator what to do about key material of
+// another suite — in practice RSA keys written before the X25519 suite,
+// which no enclave can use any more.
+func regenerateHint(err error) error {
+	if errors.Is(err, ppcrypto.ErrKeySuite) {
+		return fmt.Errorf("%w; RSA-era key files are no longer supported, regenerate keys and bundle with pprox-keygen", err)
+	}
+	return err
 }

@@ -1,6 +1,10 @@
 package proxy
 
 import (
+	"crypto/rand"
+	"crypto/rsa"
+	"crypto/x509"
+	"encoding/base64"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -24,10 +28,10 @@ func TestKeyFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotUA.Pair.Private.D.Cmp(ua.Pair.Private.D) != 0 {
+	if !gotUA.Pair.Private.Equal(ua.Pair.Private) {
 		t.Error("UA private key round trip mismatch")
 	}
-	if gotIA.Pair.Private.D.Cmp(ia.Pair.Private.D) != 0 {
+	if !gotIA.Pair.Private.Equal(ia.Pair.Private) {
 		t.Error("IA private key round trip mismatch")
 	}
 	if string(gotUA.Permanent) != string(ua.Permanent) || string(gotIA.Permanent) != string(ia.Permanent) {
@@ -109,7 +113,7 @@ func TestBundleFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.UAPublic.N.Cmp(ua.Pair.Public.N) != 0 || got.IAPublic.N.Cmp(ia.Pair.Public.N) != 0 {
+	if !got.UAPublic.Equal(ua.Pair.Public) || !got.IAPublic.Equal(ia.Pair.Public) {
 		t.Error("bundle round trip mismatch")
 	}
 }
@@ -120,17 +124,13 @@ func TestBundleFileContainsNoSecrets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	privUA, err := ppcrypto.MarshalPrivateKey(ua.Pair.Private)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Neither a private key fragment nor a permanent key may appear in
-	// the client-side bundle.
-	if strings.Contains(string(data), string(ua.Permanent)) {
-		t.Error("permanent key bytes in the public bundle")
-	}
-	if len(privUA) > 64 && strings.Contains(string(data), string(privUA[:64])) {
-		t.Error("private key material in the public bundle")
+	// Neither a private key nor a permanent key may appear in the
+	// client-side bundle, raw or base64.
+	for _, secret := range [][]byte{ua.Permanent, ua.Pair.Private.Bytes(), ia.Permanent, ia.Pair.Private.Bytes()} {
+		if strings.Contains(string(data), string(secret)) ||
+			strings.Contains(string(data), base64.StdEncoding.EncodeToString(secret)) {
+			t.Error("secret key material in the public bundle")
+		}
 	}
 }
 
@@ -139,5 +139,41 @@ func TestBundleFileRejectsMalformed(t *testing.T) {
 		if _, err := UnmarshalBundleFile([]byte(data)); err == nil {
 			t.Errorf("malformed bundle accepted: %s", data)
 		}
+	}
+}
+
+// TestRSAEraFilesRejectedWithRegenerateHint feeds key and bundle files
+// holding RSA keys, as written before the X25519 suite: both must fail
+// and tell the operator to regenerate them with pprox-keygen.
+func TestRSAEraFilesRejectedWithRegenerateHint(t *testing.T) {
+	rsaKey, err := rsa.GenerateKey(rand.Reader, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	privDER, err := x509.MarshalPKCS8PrivateKey(rsaKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pubDER, err := x509.MarshalPKIXPublicKey(&rsaKey.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := base64.StdEncoding.EncodeToString(make([]byte, ppcrypto.SymmetricKeySize))
+	layer := LayerKeyJSON{PrivateKeyDER: base64.StdEncoding.EncodeToString(privDER), PermanentKey: perm}
+	keyFile, err := json.Marshal(KeyFile{UA: layer, IA: layer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := base64.StdEncoding.EncodeToString(pubDER)
+	bundleFile, err := json.Marshal(BundleFile{UAPublicDER: pub, IAPublicDER: pub})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, _, err := UnmarshalKeyFile(keyFile); err == nil || !strings.Contains(err.Error(), "pprox-keygen") {
+		t.Errorf("RSA-era key file: err = %v, want a regenerate-with-pprox-keygen error", err)
+	}
+	if _, err := UnmarshalBundleFile(bundleFile); err == nil || !strings.Contains(err.Error(), "pprox-keygen") {
+		t.Errorf("RSA-era bundle file: err = %v, want a regenerate-with-pprox-keygen error", err)
 	}
 }

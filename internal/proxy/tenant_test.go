@@ -20,6 +20,7 @@ import (
 // the traffic each shuffle buffer sees.
 type tenantStack struct {
 	net     *transport.Network
+	as      *enclave.AttestationService
 	engines map[string]*engine.Engine
 	uaEncl  *enclave.Enclave
 	iaEncl  *enclave.Enclave
@@ -43,6 +44,7 @@ func newTenantStack(t *testing.T, tenants []string) *tenantStack {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.as = as
 	platform := enclave.NewPlatform(as)
 	st.uaEncl = proxy.NewUAEnclave(platform)
 	st.iaEncl = proxy.NewIAEnclave(platform, proxy.IAOptions{})
