@@ -132,8 +132,8 @@ func run(listen string, trainEvery time.Duration, snapshot, debugAddr, faultSpec
 	if err != nil {
 		return err
 	}
-	// Dual-protocol listener: IA instances running -hopwire reach this
-	// server in binary frames, everything else stays plain HTTP.
+	// Dual-protocol listener: IA instances reach this server in binary
+	// frames, everything else stays plain HTTP.
 	shutdown := hopwire.ServeHTTPAndFrames(l, handler)
 	logger.Info("serving", "listen", l.Addr().String(), "train_every", trainEvery.String())
 

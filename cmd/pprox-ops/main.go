@@ -1,6 +1,6 @@
 // Command pprox-ops is the fleet telemetry collector: every PProx node
-// pushes one epoch-granular snapshot per shuffle epoch (over hopwire
-// frames, or HTTP POST /telemetry), and pprox-ops aggregates them into
+// pushes one epoch-granular snapshot per shuffle epoch over hopwire
+// frames, and pprox-ops aggregates them into
 // a fleet view — cross-node per-stage latency quantiles, fleet goodput,
 // the worst-epoch anonymity watermark, the SLO/audit state matrix, and
 // build-SHA skew — served as JSON on GET /fleet.
@@ -161,8 +161,7 @@ func runServe(listen string, retention int, staleAfter time.Duration, debugAddr 
 		return err
 	}
 	// Dual-protocol listener: nodes push FrameTelemetry frames on
-	// persistent connections; operators and frame-illiterate nodes use
-	// plain HTTP on the same port.
+	// persistent connections; operators use plain HTTP on the same port.
 	shutdown := hopwire.ServeHTTPAndFrames(l, handler)
 	logger.Info("serving", "listen", l.Addr().String())
 
@@ -285,7 +284,7 @@ func orDash(s string) string {
 	return s
 }
 
-// Smoke-mode shape: a full hopwire cluster with the telemetry plane,
+// Smoke-mode shape: a full cluster with the telemetry plane,
 // driven through enough full batches that every node reports multiple
 // epochs, then one node killed to prove staleness detection.
 const (
@@ -304,7 +303,6 @@ func runSmoke(out string, logger *slog.Logger) error {
 		ShuffleTimeout: 100 * time.Millisecond,
 		UseStub:        true,
 		LRSFrontends:   1,
-		Hopwire:        true,
 		OpsAddr:        "ops-0",
 		Audit:          &audit.Config{},
 		PerfSLO:        &perfslo.Config{},
@@ -434,17 +432,13 @@ func runScaleSmoke(out string, logger *slog.Logger) error {
 		Hysteresis:        1,
 	}
 	d, err := cluster.Deploy(cluster.Spec{
-		ProxyEnabled:   true,
-		UA:             1,
-		IA:             1,
-		Encryption:     true,
-		ItemPseudonyms: true,
-		Shuffle:        scaleShuffle,
-		ShuffleTimeout: 300 * time.Millisecond,
-		// Batch mode so epochs travel whole between hops: with two IA
-		// backends, per-message forwarding would split one UA epoch
-		// across them into sub-S releases (§4j).
-		Batch:             true,
+		ProxyEnabled:      true,
+		UA:                1,
+		IA:                1,
+		Encryption:        true,
+		ItemPseudonyms:    true,
+		Shuffle:           scaleShuffle,
+		ShuffleTimeout:    300 * time.Millisecond,
 		UseStub:           true,
 		LRSFrontends:      1,
 		OpsAddr:           "ops-0",

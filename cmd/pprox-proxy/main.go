@@ -64,8 +64,6 @@ type options struct {
 	shuffle        int
 	shuffleTimeout time.Duration
 	workers        int
-	batch          bool
-	hopwireOn      bool
 	lrsConcurrency int
 	noItemPseudo   bool
 	passthrough    bool
@@ -110,12 +108,10 @@ func main() {
 	flag.IntVar(&o.shuffle, "shuffle", 0, "shuffle buffer size S (0 = off)")
 	flag.DurationVar(&o.shuffleTimeout, "shuffle-timeout", 500*time.Millisecond, "shuffle flush timer")
 	flag.IntVar(&o.workers, "workers", 2, "data-processing pool size")
-	flag.BoolVar(&o.batch, "batch", false, "epoch-batched pipeline: one batched ECALL and one UA→IA envelope per shuffle epoch (ua role; needs -shuffle > 1, incompatible with -passthrough)")
-	flag.BoolVar(&o.hopwireOn, "hopwire", false, "speak the persistent binary frame protocol toward -next and serve frames alongside HTTP on -listen (DESIGN.md §4h; falls back to HTTP against peers that do not answer in frames; incompatible with -eventloop)")
 	flag.IntVar(&o.lrsConcurrency, "lrs-concurrency", proxy.DefaultLRSConcurrency, "bound on concurrent IA→LRS requests (ia role; negative = unbounded)")
 	flag.BoolVar(&o.noItemPseudo, "no-item-pseudonyms", false, "send item identifiers to the LRS in the clear (§6.3)")
 	flag.BoolVar(&o.passthrough, "passthrough", false, "forward without cryptography (baseline m1)")
-	flag.BoolVar(&o.useEventloop, "eventloop", false, "serve with the §5 acceptor+queue+worker-pool architecture instead of net/http")
+	flag.BoolVar(&o.useEventloop, "eventloop", false, "serve the client edge with the §5 acceptor+queue+worker-pool architecture instead of net/http (ua role only: an ia listener must speak hopwire frames)")
 	flag.StringVar(&o.opsAddr, "ops-addr", "", "pprox-ops collector address, e.g. localhost:9090: stream one telemetry snapshot per shuffle epoch (off when empty)")
 	flag.StringVar(&o.node, "node", "", "node name reported to -ops-addr (default: the role)")
 	flag.DurationVar(&o.telemetryEvery, "telemetry-interval", 0, "telemetry heartbeat when no shuffle epochs fire (default: -shuffle-timeout, or 250ms)")
@@ -164,6 +160,9 @@ func run(o options, logger *slog.Logger) error {
 	if o.next == "" {
 		return fmt.Errorf("-next is required")
 	}
+	if o.useEventloop && r == proxy.RoleIA {
+		return fmt.Errorf("-eventloop is a ua-role flag: the ia listener serves hopwire frames, which need the net/http mux behind it")
+	}
 
 	cfg := proxy.Config{
 		Role:           r,
@@ -173,21 +172,10 @@ func run(o options, logger *slog.Logger) error {
 		ShuffleTimeout: o.shuffleTimeout,
 		Workers:        o.workers,
 		PassThrough:    o.passthrough,
+		HopDialer:      &net.Dialer{Timeout: 10 * time.Second},
 	}
-	if r == proxy.RoleUA {
-		cfg.Batch = o.batch
-	} else {
+	if r == proxy.RoleIA {
 		cfg.LRSConcurrency = o.lrsConcurrency
-	}
-	if o.batch && r != proxy.RoleUA {
-		logger.Warn("-batch is a ua-role flag; ia serves /batch unconditionally")
-	}
-	if o.hopwireOn {
-		if o.useEventloop {
-			return fmt.Errorf("-hopwire and -eventloop are mutually exclusive: the frame mux needs the net/http server behind it")
-		}
-		cfg.Hopwire = true
-		cfg.HopDialer = &net.Dialer{Timeout: 10 * time.Second}
 	}
 	if !o.noResilience {
 		cfg.Resilience = &resilience.Policy{
@@ -434,7 +422,9 @@ func run(o options, logger *slog.Logger) error {
 	}
 
 	var shutdown func() error
+	mode := "hopwire+net/http"
 	if o.useEventloop {
+		mode = "eventloop"
 		srv := &eventloop.Server{Handler: handler, Workers: o.workers}
 		serveDone := make(chan error, 1)
 		go func() { serveDone <- srv.Serve(l) }()
@@ -443,22 +433,13 @@ func run(o options, logger *slog.Logger) error {
 			<-serveDone
 			return err
 		}
-	} else if o.hopwireOn {
-		shutdown = hopwire.ServeHTTPAndFrames(l, handler)
 	} else {
-		shutdown = transport.Serve(l, handler)
-	}
-	mode := "net/http"
-	switch {
-	case o.useEventloop:
-		mode = "eventloop"
-	case o.hopwireOn:
-		mode = "hopwire+net/http"
+		shutdown = hopwire.ServeHTTPAndFrames(l, handler)
 	}
 	logger.Info("layer serving",
 		"role", o.role, "listen", l.Addr().String(), "next", o.next,
 		"shuffle", o.shuffle, "workers", o.workers, "mode", mode,
-		"batch", o.batch && r == proxy.RoleUA, "audit", o.auditSLO)
+		"audit", o.auditSLO)
 
 	// Fleet membership: register with the route registry once the
 	// listener is up, heartbeat until shutdown, and leave through the

@@ -138,8 +138,8 @@ func run(listen string, items int, delay time.Duration, keysPath, debugAddr, fau
 	if err != nil {
 		return err
 	}
-	// Dual-protocol listener: IA instances running -hopwire reach this
-	// server in binary frames, everything else stays plain HTTP.
+	// Dual-protocol listener: IA instances reach this server in binary
+	// frames, everything else stays plain HTTP.
 	shutdown := hopwire.ServeHTTPAndFrames(l, handler)
 	logger.Info("serving", "items", items, "listen", l.Addr().String())
 

@@ -13,6 +13,7 @@ import (
 	"pprox/internal/adversary"
 	"pprox/internal/client"
 	"pprox/internal/enclave"
+	"pprox/internal/hopwire"
 	"pprox/internal/lrs/engine"
 	"pprox/internal/lrs/store"
 	"pprox/internal/message"
@@ -96,7 +97,8 @@ func newTappedStackEngine(t *testing.T, shuffleSize int, cache *reccache.Cache, 
 	httpClient := transport.HTTPClient(st.net, 30*time.Second)
 	ia, err := proxy.New(proxy.Config{
 		Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs",
-		HTTPClient: httpClient, ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
+		HTTPClient: httpClient, HopDialer: st.net,
+		ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
 		RecCache: cache,
 	})
 	if err != nil {
@@ -107,7 +109,8 @@ func newTappedStackEngine(t *testing.T, shuffleSize int, cache *reccache.Cache, 
 
 	ua, err := proxy.New(proxy.Config{
 		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia",
-		HTTPClient: httpClient, ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
+		HTTPClient: httpClient, HopDialer: st.net,
+		ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +131,7 @@ func (st *tappedStack) serve(t *testing.T, addr string, h http.Handler) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shutdown := transport.Serve(l, h)
+	shutdown := hopwire.ServeHTTPAndFrames(l, h)
 	t.Cleanup(func() { shutdown() })
 }
 

@@ -19,10 +19,9 @@ import (
 	"pprox/internal/transport"
 )
 
-// newBatchTappedStack is newTappedStack with the epoch-batched pipeline
-// on: link key paired, UA in batch mode, and (optionally) a middleware
-// wrapping the IA node so the adversary can capture the raw UA→IA batch
-// envelopes — the new wire surface this mode introduces.
+// newBatchTappedStack is newTappedStack with the link key paired and
+// (optionally) a middleware wrapping the IA node so the adversary can
+// capture the raw UA→IA batch frames.
 func newBatchTappedStack(t *testing.T, shuffleSize int, wrapIA func(http.Handler) http.Handler) *tappedStack {
 	t.Helper()
 	st := &tappedStack{rec: adversary.NewRecorder(), net: transport.NewNetwork()}
@@ -68,7 +67,8 @@ func newBatchTappedStack(t *testing.T, shuffleSize int, wrapIA func(http.Handler
 	httpClient := transport.HTTPClient(st.net, 30*time.Second)
 	ia, err := proxy.New(proxy.Config{
 		Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs",
-		HTTPClient: httpClient, ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
+		HTTPClient: httpClient, HopDialer: st.net,
+		ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +82,8 @@ func newBatchTappedStack(t *testing.T, shuffleSize int, wrapIA func(http.Handler
 
 	ua, err := proxy.New(proxy.Config{
 		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia",
-		HTTPClient: httpClient, ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
-		Batch: true,
+		HTTPClient: httpClient, HopDialer: st.net,
+		ShuffleSize: shuffleSize, ShuffleTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +141,8 @@ func TestTimingAttackDefeatedWithBatching(t *testing.T) {
 // itself: the adversary captures a raw UA→IA batch envelope and its
 // response. Entry ids must be bare post-shuffle positions (sequential
 // integers), entry bodies opaque ciphertext, and the response entries
-// re-permuted by the IA — so the envelope reveals nothing per-message
-// HTTP exchanges did not already reveal.
+// re-permuted by the IA — so the envelope reveals no more than S
+// messages leaving together in permuted order.
 func TestBatchEnvelopeLeaksNoCorrespondence(t *testing.T) {
 	const s = 8
 	type capture struct {
@@ -190,7 +190,7 @@ func TestBatchEnvelopeLeaksNoCorrespondence(t *testing.T) {
 	truth := st.truth(t, users)
 	identityResponses := 0
 	for _, c := range captures {
-		reqEntries, err := message.UnmarshalBatch(c.req)
+		_, reqEntries, err := message.DecodeBatchFrame(c.req)
 		if err != nil {
 			t.Fatalf("captured request envelope: %v", err)
 		}
@@ -216,7 +216,7 @@ func TestBatchEnvelopeLeaksNoCorrespondence(t *testing.T) {
 				t.Errorf("entry %d body leaks inner message structure", i)
 			}
 		}
-		respEntries, err := message.UnmarshalBatch(c.resp)
+		_, respEntries, err := message.DecodeBatchFrame(c.resp)
 		if err != nil {
 			t.Fatalf("captured response envelope: %v", err)
 		}
@@ -237,7 +237,7 @@ func TestBatchEnvelopeLeaksNoCorrespondence(t *testing.T) {
 	// has probability 1/8! per epoch, so even one across the run flags a
 	// missing shuffle (tolerate it only if a single epoch was captured).
 	if identityResponses == len(captures) {
-		first, _ := message.UnmarshalBatch(captures[0].resp)
+		_, first, _ := message.DecodeBatchFrame(captures[0].resp)
 		if len(first) >= 4 {
 			t.Errorf("every captured response envelope echoed request order: IA response shuffle missing")
 		}

@@ -42,7 +42,6 @@ func TestLinkingBoundHoldsDuringFleetChurn(t *testing.T) {
 		ItemPseudonyms: true,
 		Shuffle:        s,
 		ShuffleTimeout: 300 * time.Millisecond,
-		Batch:          true, // epochs travel whole between hops (§4j)
 		UseStub:        true,
 		Fleet:          true,
 		Audit:          &audit.Config{},

@@ -114,13 +114,13 @@ func TestHopwireFramesCloseSizeChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lrsShutdown := transport.Serve(lrsL, engine.NewHandler(eng))
+	lrsShutdown := hopwire.ServeHTTPAndFrames(lrsL, engine.NewHandler(eng))
 	t.Cleanup(func() { lrsShutdown() })
 
 	httpClient := transport.HTTPClient(net2, 30*time.Second)
 	ia, err := proxy.New(proxy.Config{
 		Role: proxy.RoleIA, Enclave: iaEncl, Next: "http://lrs",
-		HTTPClient: httpClient, ShuffleSize: s, ShuffleTimeout: 2 * time.Second,
+		HTTPClient: httpClient, HopDialer: net2, ShuffleSize: s, ShuffleTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestHopwireFramesCloseSizeChannel(t *testing.T) {
 	ua, err := proxy.New(proxy.Config{
 		Role: proxy.RoleUA, Enclave: uaEncl, Next: "http://ia",
 		HTTPClient: httpClient, ShuffleSize: s, ShuffleTimeout: 2 * time.Second,
-		Batch: true, Hopwire: true, HopDialer: tapped,
+		HopDialer: tapped,
 	})
 	if err != nil {
 		t.Fatal(err)

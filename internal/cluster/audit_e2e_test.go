@@ -249,3 +249,63 @@ func TestStructuredLogsRedactIdentifiers(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiIAEpochsLeaveWhole is the regression test for the linking
+// hazard of forwarding UA epochs message by message: with two IA
+// instances a balancer spread one UA epoch over both, and each IA then
+// released its share as an under-filled epoch on its flush timer — an
+// anonymity set of about S/2 on the IA→LRS link. Every epoch now leaves
+// the UA as one frame and reaches one IA whole, so lock-step epochs of S
+// gets must never under-fill an IA epoch.
+func TestMultiIAEpochsLeaveWhole(t *testing.T) {
+	const s = 10
+	const epochs = 4
+	d, err := cluster.Deploy(cluster.Spec{
+		ProxyEnabled:   true,
+		UA:             1,
+		IA:             2,
+		Encryption:     true,
+		ItemPseudonyms: true,
+		Shuffle:        s,
+		// Generous: a split epoch would sit out this timer and then
+		// leave under-filled, so a healthy run never reaches it.
+		ShuffleTimeout: 2 * time.Second,
+		UseStub:        true,
+		Audit:          &audit.Config{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	for b := 0; b < epochs; b++ {
+		if failed := getBatch(t, d, s, b); failed != 0 {
+			t.Fatalf("epoch %d: %d gets failed", b, failed)
+		}
+	}
+
+	resp, err := d.HTTPClient(5 * time.Second).Get("http://ua-0/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scraped := metrics.ParseExposition(string(body))
+	if v := scraped["pprox_audit_underfilled_epochs_total"]; v != 0 {
+		t.Errorf("pprox_audit_underfilled_epochs_total = %g, want 0: an IA released part of a UA epoch", v)
+	}
+	if st := d.Auditor.State(); st != audit.StateOK {
+		t.Errorf("auditor state = %v, want ok", st)
+	}
+	var iaEpochs uint64
+	for _, ia := range d.IALayers {
+		flushes, _ := ia.Shuffler().Stats()
+		iaEpochs += flushes
+	}
+	if iaEpochs != epochs {
+		t.Errorf("IA epochs = %d across both instances, want %d (one per UA epoch)", iaEpochs, epochs)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -47,26 +46,25 @@ type Spec struct {
 	ShuffleTimeout time.Duration
 	// Workers sizes each proxy instance's data-processing pool.
 	Workers int
-	// Batch switches the UA layers to the epoch-batched hop pipeline
-	// (DESIGN.md §4f): one batched ECALL per epoch per message kind and
-	// one UA→IA envelope per epoch. Requires Encryption and Shuffle > 1.
-	// IA layers always serve /batch.
+	// Batch is ignored: every deployment runs the epoch-batched hop
+	// pipeline (DESIGN.md §4f).
+	//
+	// Deprecated: only the benchmark still sets it; it goes with the
+	// next benchmark change.
 	Batch bool
 	// LRSConcurrency bounds each IA instance's concurrent LRS requests
 	// (0 = the proxy default, negative = unbounded).
 	LRSConcurrency int
-	// Hopwire switches the inter-hop transport (UA→IA and IA→LRS) to the
-	// persistent-connection binary frame protocol (DESIGN.md §4h). Every
-	// node's listener then sniffs each connection and serves frames and
-	// HTTP side by side, and each layer's hop client falls back to HTTP
-	// against a peer that does not answer in frames — so mixed
-	// deployments (rolling upgrade) keep working.
+	// Hopwire is ignored: every inter-hop link rides the binary frame
+	// protocol (DESIGN.md §4h).
+	//
+	// Deprecated: only the benchmark still sets it; it goes with the
+	// next benchmark change.
 	Hopwire bool
 	// EcallCost models the CPU each enclave crossing burns (SGX world
 	// switch + TLB/cache repopulation). Zero — the default — keeps
-	// crossings free as plain function calls; benchmarks comparing the
-	// per-message and batched pipelines set it to hardware-like values
-	// (enclave.SetTransitionCost).
+	// crossings free as plain function calls; benchmarks set it to
+	// hardware-like values (enclave.SetTransitionCost).
 	EcallCost time.Duration
 	// Cache enables the in-enclave recommendation cache on every IA
 	// instance (requires Encryption: lookups and fills are ECALLs).
@@ -146,11 +144,9 @@ type Spec struct {
 	// OpsAddr deploys the fleet telemetry plane: a collector node
 	// (cmd/pprox-ops equivalent) served at this in-memory address, plus
 	// one telemetry emitter per node streaming epoch-granular snapshots
-	// to it — over hopwire frames when Spec.Hopwire is set, HTTP
-	// otherwise (the emitters' frame probe latches the fallback). The
-	// collector gets its OWN registry: it models an operator service
-	// outside the trust boundary, so it must not share the deployment's.
-	// Empty disables telemetry.
+	// to it over hopwire frames. The collector gets its OWN registry: it
+	// models an operator service outside the trust boundary, so it must
+	// not share the deployment's. Empty disables telemetry.
 	OpsAddr string
 	// TelemetryInterval is every emitter's heartbeat: the slowest a node
 	// pushes snapshots when no shuffle epochs fire (idle proxies, LRS
@@ -305,9 +301,6 @@ func Deploy(spec Spec) (d *Deployment, err error) {
 	}
 	if spec.Cache && !(spec.ProxyEnabled && spec.Encryption) {
 		return nil, errors.New("cluster: recommendation cache needs the encrypted proxy path")
-	}
-	if spec.Batch && !(spec.ProxyEnabled && spec.Encryption && spec.Shuffle > 1) {
-		return nil, errors.New("cluster: batch mode needs the encrypted proxy path with S > 1")
 	}
 	if spec.Elastic != nil {
 		spec.Fleet = true
@@ -889,15 +882,10 @@ func (d *Deployment) newLayer(role proxy.Role, spec Spec, platform *enclave.Plat
 		Workers:        spec.Workers,
 		PassThrough:    !spec.Encryption,
 		Resilience:     spec.Resilience,
+		HopDialer:      d.Balancer,
 	}
-	if role == proxy.RoleUA {
-		cfg.Batch = spec.Batch
-	} else {
+	if role == proxy.RoleIA {
 		cfg.LRSConcurrency = spec.LRSConcurrency
-	}
-	if spec.Hopwire {
-		cfg.Hopwire = true
-		cfg.HopDialer = d.Balancer
 	}
 	if spec.Encryption {
 		if role == proxy.RoleUA {
@@ -928,23 +916,12 @@ func (d *Deployment) serve(addr string, h http.Handler) error {
 	if err != nil {
 		return err
 	}
-	n := &runningNode{handler: h, shutdown: d.serveListener(l, h)}
+	n := &runningNode{handler: h, shutdown: hopwire.ServeHTTPAndFrames(l, h)}
 	d.mu.Lock()
 	d.nodes[addr] = n
 	d.order = append(d.order, addr)
 	d.mu.Unlock()
 	return nil
-}
-
-// serveListener starts one node's server: the dual-protocol mux when the
-// spec runs hopwire, plain HTTP otherwise. Kill/Restart go through the
-// same helper so a restarted node speaks the same protocols it did
-// before the crash.
-func (d *Deployment) serveListener(l net.Listener, h http.Handler) func() error {
-	if d.spec.Hopwire {
-		return hopwire.ServeHTTPAndFrames(l, h)
-	}
-	return transport.Serve(l, h)
 }
 
 // Kill stops one node's server and unbinds its address: dials to it are
@@ -991,7 +968,7 @@ func (d *Deployment) Restart(addr string) error {
 	if err != nil {
 		return err
 	}
-	n.shutdown = d.serveListener(l, n.handler)
+	n.shutdown = hopwire.ServeHTTPAndFrames(l, n.handler)
 	if n.emitter != nil {
 		n.emitter.Resume()
 	}

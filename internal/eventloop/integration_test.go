@@ -7,6 +7,7 @@ import (
 	"pprox/internal/client"
 	"pprox/internal/enclave"
 	"pprox/internal/eventloop"
+	"pprox/internal/hopwire"
 	"pprox/internal/proxy"
 	"pprox/internal/stub"
 	"pprox/internal/transport"
@@ -14,7 +15,8 @@ import (
 
 // TestServerFrontsProxyLayer runs a full PProx stack with the UA layer
 // served by the §5 architecture: the eventloop server is a drop-in for
-// net/http on the hot path.
+// net/http on the client edge, while the IA and LRS listeners speak
+// hopwire frames.
 func TestServerFrontsProxyLayer(t *testing.T) {
 	n := transport.NewNetwork()
 	defer n.Close()
@@ -54,10 +56,10 @@ func TestServerFrontsProxyLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer transport.Serve(lrsL, st)()
+	defer hopwire.ServeHTTPAndFrames(lrsL, st)()
 
 	httpClient := transport.HTTPClient(n, 10*time.Second)
-	ia, err := proxy.New(proxy.Config{Role: proxy.RoleIA, Enclave: iaEncl, Next: "http://lrs", HTTPClient: httpClient})
+	ia, err := proxy.New(proxy.Config{Role: proxy.RoleIA, Enclave: iaEncl, Next: "http://lrs", HTTPClient: httpClient, HopDialer: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +67,9 @@ func TestServerFrontsProxyLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer transport.Serve(iaL, ia)()
+	defer hopwire.ServeHTTPAndFrames(iaL, ia)()
 
-	ua, err := proxy.New(proxy.Config{Role: proxy.RoleUA, Enclave: uaEncl, Next: "http://ia", HTTPClient: httpClient})
+	ua, err := proxy.New(proxy.Config{Role: proxy.RoleUA, Enclave: uaEncl, Next: "http://ia", HTTPClient: httpClient, HopDialer: n})
 	if err != nil {
 		t.Fatal(err)
 	}

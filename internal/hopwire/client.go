@@ -3,7 +3,6 @@ package hopwire
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -30,29 +29,18 @@ type Client struct {
 	exchangeTimeout time.Duration
 	idleTTL         time.Duration
 	maxIdle         int
-	cooldown        time.Duration
-	probeTimeout    time.Duration
 
 	// seq mints exchange ids for single frames (batch frames carry the
 	// epoch id their builder minted).
 	seq atomic.Uint64
 
-	// verified latches once any frame exchange has completed against the
-	// peer. Until then the peer may be a frame-illiterate HTTP server
-	// whose request parser stops reading mid-frame — an unbounded write
-	// of a large frame would then wedge until the exchange deadline, so
-	// unverified writes are probe-bounded (see exchange).
-	verified atomic.Bool
-
-	mu               sync.Mutex
-	idle             []*poolConn
-	closed           bool
-	unsupportedUntil time.Time
+	mu     sync.Mutex
+	idle   []*poolConn
+	closed bool
 
 	dials     atomic.Uint64
 	reuses    atomic.Uint64
 	exchanges atomic.Uint64
-	fallbacks atomic.Uint64
 }
 
 // poolConn is one pooled connection with its read buffer; the buffer must
@@ -86,8 +74,6 @@ func NewClient(d transport.Dialer, next string) (*Client, error) {
 		exchangeTimeout: defaultExchangeTimeout,
 		idleTTL:         defaultIdleTTL,
 		maxIdle:         defaultMaxIdle,
-		cooldown:        defaultUnsupportedCooldown,
-		probeTimeout:    probeWriteTimeout,
 	}, nil
 }
 
@@ -99,9 +85,6 @@ type Stats struct {
 	Reuses uint64
 	// Exchanges is completed frame round trips.
 	Exchanges uint64
-	// Fallbacks is exchanges refused with ErrUnsupported (peer not
-	// speaking frames, or cooldown latch still warm).
-	Fallbacks uint64
 }
 
 // Stats returns the client's counters.
@@ -113,7 +96,6 @@ func (c *Client) Stats() Stats {
 		Dials:     c.dials.Load(),
 		Reuses:    c.reuses.Load(),
 		Exchanges: c.exchanges.Load(),
-		Fallbacks: c.fallbacks.Load(),
 	}
 }
 
@@ -135,25 +117,16 @@ func (c *Client) Close() {
 // RoundTrip performs one exchange with HTTP-equivalent semantics: the
 // request that would have been POSTed to path travels as a frame, and the
 // result comes back as (status, body). For the batch path the body IS the
-// marshalled frame and the response body is the raw response frame —
-// message.UnmarshalBatch parses it exactly as it parses an HTTP /batch
-// response. ErrUnsupported means the peer does not speak frames and the
-// caller should use its HTTP path; any other error is a transport fault
-// for the caller's breaker and retry ladder.
+// marshalled frame and the response body is the raw response frame, which
+// message.DecodeBatchFrame parses. Every error — a peer answering in
+// anything but frames included — is a transport fault for the caller's
+// breaker and retry ladder.
 func (c *Client) RoundTrip(ctx context.Context, path string, body []byte) (int, []byte, error) {
-	if c == nil {
-		return 0, nil, ErrUnsupported
-	}
 	var frame []byte
 	var epoch uint64
 	var reqKind byte
 	switch path {
 	case message.BatchPath:
-		if !message.IsFrame(body) {
-			// A JSON envelope only appears when the local codec was
-			// downgraded; the HTTP path owns that case.
-			return 0, nil, ErrUnsupported
-		}
 		h, err := message.ParseFrameHeader(body)
 		if err != nil {
 			return 0, nil, err
@@ -184,12 +157,7 @@ func (c *Client) RoundTrip(ctx context.Context, path string, body []byte) (int, 
 		}
 	default:
 		// Health probes and any future route stay on HTTP.
-		return 0, nil, ErrUnsupported
-	}
-
-	if c.inCooldown() {
-		c.fallbacks.Add(1)
-		return 0, nil, ErrUnsupported
+		return 0, nil, fmt.Errorf("hopwire: no frame route for %s", path)
 	}
 
 	// A pooled connection can go stale between the health check and the
@@ -207,11 +175,6 @@ func (c *Client) RoundTrip(ctx context.Context, path string, body []byte) (int, 
 			c.exchanges.Add(1)
 			return status, resp, nil
 		}
-		if err == ErrUnsupported {
-			c.markUnsupported()
-			c.fallbacks.Add(1)
-			return 0, nil, ErrUnsupported
-		}
 		if !reused || gotBytes || ctx.Err() != nil {
 			return 0, nil, err
 		}
@@ -219,19 +182,6 @@ func (c *Client) RoundTrip(ctx context.Context, path string, body []byte) (int, 
 	// Unreachable: attempt 1 uses a fresh dial, so reused is false and
 	// the loop returns from inside.
 	return 0, nil, fmt.Errorf("hopwire: exchange with %s failed", c.addr)
-}
-
-// inCooldown reports whether the unsupported latch is still warm.
-func (c *Client) inCooldown() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Now().Before(c.unsupportedUntil)
-}
-
-func (c *Client) markUnsupported() {
-	c.mu.Lock()
-	c.unsupportedUntil = time.Now().Add(c.cooldown)
-	c.mu.Unlock()
 }
 
 // getConn returns a healthy pooled connection or dials a new one. fresh
@@ -327,30 +277,8 @@ func (c *Client) exchange(ctx context.Context, pc *poolConn, frame []byte, epoch
 		return 0, nil, false, err
 	}
 
-	verified := c.verified.Load()
-	if !verified {
-		// Probe-bound the write until the peer has proven it speaks
-		// frames: a frame-illiterate server stops reading mid-frame, so
-		// an unbounded write of a large frame would wedge for the whole
-		// exchange deadline without ever producing the non-frame
-		// response that latches the fallback.
-		probe := time.Now().Add(c.probeTimeout)
-		if probe.Before(deadline) {
-			pc.SetWriteDeadline(probe)
-		}
-	}
 	if _, err := pc.Write(frame); err != nil {
-		var ne net.Error
-		if !verified && errors.As(err, &ne) && ne.Timeout() {
-			// The peer stopped reading our frame: it does not speak the
-			// protocol. gotBytes=true so RoundTrip does not retry the
-			// probe on a fresh dial.
-			return 0, nil, true, ErrUnsupported
-		}
 		return 0, nil, false, fmt.Errorf("hopwire: write to %s: %w", c.addr, err)
-	}
-	if !verified {
-		pc.SetWriteDeadline(deadline)
 	}
 
 	hdr := make([]byte, message.FrameHeaderSize)
@@ -360,13 +288,11 @@ func (c *Client) exchange(ctx context.Context, pc *poolConn, frame []byte, epoch
 	}
 	if !message.IsFrame(hdr) {
 		// The peer answered with something else — typically an HTTP/1.1
-		// error line from a frame-illiterate server. ErrUnsupported; the
-		// caller falls back to HTTP (and RoundTrip latches the verdict).
-		return 0, nil, true, ErrUnsupported
+		// error line from a server that does not speak frames. That is
+		// an ordinary exchange failure: there is no other path to fall
+		// back to.
+		return 0, nil, true, fmt.Errorf("hopwire: %s answered without a frame", c.addr)
 	}
-	// A frame came back: the peer speaks the protocol, so later writes
-	// need no probe bound.
-	c.verified.Store(true)
 	h, err := message.ParseFrameHeader(hdr)
 	if err != nil {
 		return 0, nil, true, err

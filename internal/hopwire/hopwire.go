@@ -1,13 +1,12 @@
 // Package hopwire is the persistent-connection binary hop transport for
-// the inter-proxy links (DESIGN.md §4h): UA→IA batch envelopes and
-// per-message IA→LRS traffic travel as length-prefixed frames
+// the inter-node links (DESIGN.md §4h): UA→IA epoch frames, per-message
+// IA→LRS traffic and telemetry snapshots travel as length-prefixed frames
 // (internal/message frame codec) over pooled connections instead of one
-// HTTP POST per exchange. HTTP remains the client-edge protocol, and
-// every hopwire server also speaks HTTP on the same listener (the
-// sniffing mux in mux.go), so health probes, metrics scrapes, and
-// JSON-era peers keep working — a peer that answers frames with anything
-// else makes the client latch ErrUnsupported and fall back to HTTP until
-// a cooldown expires (rolling-upgrade safety).
+// HTTP POST per exchange. It is the only transport on those links. HTTP
+// remains the client-edge protocol, and every hopwire server also speaks
+// HTTP on the same listener (the sniffing mux in mux.go), so health
+// probes and metrics scrapes keep working; a peer that answers a frame
+// with anything else has failed the exchange.
 //
 // The exchange model is strictly serial per connection: one request
 // frame, one response frame, matched by the epoch id echoed in the frame
@@ -24,12 +23,6 @@ import (
 
 // Errors reported by the transport.
 var (
-	// ErrUnsupported reports a peer that does not speak the frame
-	// protocol (it answered with non-frame bytes, typically an HTTP
-	// error). The caller should fall back to its HTTP path; the client
-	// latches the verdict for a cooldown so every epoch does not re-probe.
-	ErrUnsupported = errors.New("hopwire: peer does not speak the frame protocol")
-
 	// ErrClosed reports use of a closed client or server.
 	ErrClosed = errors.New("hopwire: closed")
 )
@@ -47,17 +40,6 @@ const (
 	defaultIdleTTL = 30 * time.Second
 	// defaultMaxIdle caps pooled connections per client.
 	defaultMaxIdle = 64
-	// defaultUnsupportedCooldown is how long the client stays on the
-	// HTTP fallback after a peer proved frame-illiterate.
-	defaultUnsupportedCooldown = 30 * time.Second
-	// probeWriteTimeout bounds the FIRST frame write to a peer that has
-	// never completed a frame exchange. A frame-illiterate HTTP server
-	// stops reading as soon as its request parser chokes on the frame
-	// bytes, so a large frame wedges in the socket buffer: the write
-	// never finishes and never produces the non-frame response that
-	// would latch ErrUnsupported. Bounding the probe write converts
-	// that wedge into a fast fallback verdict.
-	probeWriteTimeout = time.Second
 	// serverIdleTimeout is how long the server keeps an idle frame
 	// connection before dropping it (matches the HTTP transport's
 	// 30-second idle conn timeout).

@@ -3,10 +3,8 @@ package hopwire
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -29,7 +27,7 @@ func echoHandler(t *testing.T) http.Handler {
 				http.Error(w, "read", http.StatusBadRequest)
 				return
 			}
-			epoch, entries, err := message.UnmarshalBatchEpoch(body)
+			epoch, entries, err := message.DecodeBatchFrame(body)
 			if err != nil {
 				http.Error(w, "bad envelope", http.StatusBadRequest)
 				return
@@ -92,7 +90,7 @@ func TestBatchExchangeRoundTrip(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
-	epoch, out, err := message.UnmarshalBatchEpoch(resp)
+	epoch, out, err := message.DecodeBatchFrame(resp)
 	if err != nil {
 		t.Fatalf("response not an envelope: %v", err)
 	}
@@ -192,66 +190,15 @@ func TestMuxServesHTTPAlongsideFrames(t *testing.T) {
 	}
 }
 
-// A plain-HTTP peer (no frame support) must latch ErrUnsupported so the
-// proxy falls back to its HTTP path — the rolling-upgrade contract. The
-// peer is a raw responder emitting an HTTP status line for whatever
-// arrives, the provable non-frame reply the client keys on.
-func TestFallbackAgainstHTTPOnlyPeer(t *testing.T) {
-	n := transport.NewNetwork()
-	defer n.Close()
-	l, err := n.Listen("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				// Drain whatever the client writes (the pipe is
-				// synchronous) while answering with an HTTP status line;
-				// the client closes the conn once it sees non-frame bytes.
-				go io.Copy(io.Discard, conn)
-				io.WriteString(conn, "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n")
-			}(conn)
-		}
-	}()
-
-	c, err := NewClient(n, "http://legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x")); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
-	}
-	// The verdict is latched: the next exchange refuses immediately
-	// without probing the peer again.
-	start := time.Now()
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x")); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("latched err = %v, want ErrUnsupported", err)
-	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("latched fallback still probed the peer")
-	}
-	if st := c.Stats(); st.Fallbacks != 2 {
-		t.Fatalf("fallbacks = %d, want 2", st.Fallbacks)
-	}
-}
-
-// The same fallback against a real net/http server, which behaves very
-// differently from the canned responder above: it reads the request line
-// until it sees a newline. Encrypted slot bodies may contain none, so
-// detection must not depend on payload bytes — the frame header's fixed
-// CRLF terminates the read, the server answers 400 at once, and the
-// client latches ErrUnsupported promptly instead of hanging until the
-// exchange deadline (which is how a rolling-upgrade mix was discovered to
-// stall in live TCP testing).
-func TestFallbackAgainstRealNetHTTPServer(t *testing.T) {
+// A peer that answers a frame with anything but a frame — here a real
+// net/http server — fails the exchange like any transport fault: there
+// is no other path to fall back to, and nothing is latched, so the next
+// exchange contacts the peer again. net/http reads the request line until
+// a newline and encrypted slot bodies may contain none; the frame
+// header's fixed CRLF terminates that read, so the server answers 400 at
+// once and the failure is prompt instead of sitting on the exchange
+// deadline.
+func TestNonFrameAnswerIsExchangeError(t *testing.T) {
 	n := transport.NewNetwork()
 	defer n.Close()
 	l, err := n.Listen("legacy")
@@ -273,66 +220,23 @@ func TestFallbackAgainstRealNetHTTPServer(t *testing.T) {
 	// A body with no 0x0A anywhere: without the header CRLF the server
 	// would block awaiting the rest of its "request line".
 	body := bytes.Repeat([]byte{0xC7}, 700)
-	start := time.Now()
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, body); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, body); err == nil {
+			t.Fatalf("exchange %d against a non-frame peer succeeded", i)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("exchange %d took %v; the server sat on an unterminated request line", i, d)
+		}
 	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("detection took %v; the server sat on an unterminated request line", d)
-	}
-	if st := c.Stats(); st.Fallbacks != 1 || st.Exchanges != 0 {
-		t.Fatalf("stats = %+v, want 1 fallback, 0 exchanges", st)
-	}
-}
-
-// A frame LARGER than the HTTP server's read buffer never makes it out:
-// the frame-illiterate server stops reading once its request parser
-// chokes, so the write itself wedges and no response bytes ever come
-// back to trip the non-frame check. The probe-bounded first write must
-// convert that wedge into a fast ErrUnsupported instead of sitting on
-// the full exchange deadline.
-func TestFallbackWhenLargeFrameWedgesWrite(t *testing.T) {
-	n := transport.NewNetwork()
-	defer n.Close()
-	l, err := n.Listen("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})}
-	go srv.Serve(l)
-	defer srv.Close()
-
-	c, err := NewClient(n, "http://legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.probeTimeout = 50 * time.Millisecond
-
-	// Far past any server-side read buffer, and 0x0A-free so the server
-	// never even finds the end of its "request line".
-	body := bytes.Repeat([]byte{0xC7}, 64<<10)
-	start := time.Now()
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, body); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported", err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("detection took %v; the probe bound did not fire", d)
-	}
-	if st := c.Stats(); st.Fallbacks != 1 || st.Exchanges != 0 {
-		t.Fatalf("stats = %+v, want 1 fallback, 0 exchanges", st)
-	}
-	if !c.inCooldown() {
-		t.Fatal("write-wedge verdict did not latch the fallback cooldown")
+	if st := c.Stats(); st.Dials != 2 || st.Exchanges != 0 {
+		t.Fatalf("stats = %+v, want 2 dials (no latch) and 0 exchanges", st)
 	}
 }
 
-// A verified peer (one completed frame exchange) must NOT inherit the
-// probe bound: large frames to a slow-but-frame-speaking peer get the
-// full exchange deadline.
-func TestVerifiedPeerSkipsProbeBound(t *testing.T) {
+// Large frames get the full exchange deadline: a payload far past any
+// socket buffer round-trips to a frame-speaking peer.
+func TestLargeFrameRoundTrips(t *testing.T) {
 	n := transport.NewNetwork()
 	defer n.Close()
 	startFramePeer(t, n, "peer", echoHandler(t))
@@ -343,44 +247,13 @@ func TestVerifiedPeerSkipsProbeBound(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if !c.verified.Load() {
-		t.Fatal("successful frame exchange did not verify the peer")
-	}
-	// A payload well past the probe-era frame sizes still round-trips.
 	big := bytes.Repeat([]byte{0xC7}, 64<<10)
 	st, resp, err := c.RoundTrip(context.Background(), message.QueriesPath, big)
 	if err != nil || st != http.StatusOK {
-		t.Fatalf("large verified exchange: status %d, err %v", st, err)
+		t.Fatalf("large exchange: status %d, err %v", st, err)
 	}
 	if !bytes.HasPrefix(resp, []byte("re:")) {
 		t.Fatalf("resp = %.16q..., want echo", resp)
-	}
-}
-
-// After the cooldown expires the client probes again — a restarted,
-// now-frame-speaking peer is picked up without intervention.
-func TestUnsupportedCooldownExpires(t *testing.T) {
-	n := transport.NewNetwork()
-	defer n.Close()
-	startFramePeer(t, n, "peer", echoHandler(t))
-
-	c, err := NewClient(n, "http://peer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.cooldown = 10 * time.Millisecond
-	c.markUnsupported()
-
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x")); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("during cooldown: err = %v, want ErrUnsupported", err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x")); err != nil {
-		t.Fatalf("after cooldown: %v", err)
 	}
 }
 
@@ -458,7 +331,7 @@ func TestDeadPeerIsTransportError(t *testing.T) {
 	}
 	defer c.Close()
 	_, _, err = c.RoundTrip(context.Background(), message.QueriesPath, []byte("x"))
-	if err == nil || errors.Is(err, ErrUnsupported) {
+	if err == nil {
 		t.Fatalf("err = %v, want a transport error", err)
 	}
 }
@@ -492,5 +365,38 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 	}
 	if h.Kind != message.FrameError {
 		t.Fatalf("response kind = %d, want error frame", h.Kind)
+	}
+}
+
+// A connection that never sends a byte — an HTTP client's spare pooled
+// dial — has nothing in flight, so shutdown closes it instead of waiting
+// out the sniff timeout.
+func TestShutdownClosesSilentConns(t *testing.T) {
+	n := transport.NewNetwork()
+	defer n.Close()
+	shutdown := startFramePeer(t, n, "peer", echoHandler(t))
+
+	conn, err := n.DialContext(context.Background(), "tcp", "peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The listener accepts in dial order, so once a later connection
+	// completes an exchange the silent one is being sniffed.
+	c, err := NewClient(n, "http://peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.RoundTrip(context.Background(), message.QueriesPath, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- shutdown() }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shutdown waited on a connection that never spoke")
 	}
 }

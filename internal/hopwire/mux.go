@@ -20,17 +20,21 @@ const sniffTimeout = 30 * time.Second
 // accepted connection is sniffed on its first four bytes — the frame
 // magic routes it to the frame server, anything else to a regular HTTP
 // server running the same handler. One address therefore serves hopwire
-// exchanges, health probes, metrics scrapes, and JSON-era peers at once,
-// which is what makes the rolling upgrade safe in both directions.
+// exchanges, client-edge HTTP, health probes and metrics scrapes at once.
 //
-// The returned shutdown stops accepting, closes live frame connections,
-// and drains the HTTP side exactly like transport.Serve.
+// The returned shutdown stops accepting, closes connections that have
+// not sent a byte yet (an HTTP client's spare pooled dial, say — nothing
+// is in flight on them, and they would otherwise hold shutdown for the
+// whole sniff timeout), closes live frame connections, and drains the
+// HTTP side exactly like transport.Serve.
 func ServeHTTPAndFrames(l net.Listener, h http.Handler) (shutdown func() error) {
 	fs := NewServer(h)
 	httpL := newChanListener(l.Addr())
 	httpShutdown := transport.Serve(httpL, h)
 
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	silent := make(map[net.Conn]struct{})
 	acceptDone := make(chan struct{})
 	go func() {
 		defer close(acceptDone)
@@ -39,10 +43,17 @@ func ServeHTTPAndFrames(l net.Listener, h http.Handler) (shutdown func() error) 
 			if err != nil {
 				return
 			}
+			mu.Lock()
+			silent[conn] = struct{}{}
+			mu.Unlock()
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sniffAndRoute(conn, fs, httpL)
+				sniffAndRoute(conn, fs, httpL, func() {
+					mu.Lock()
+					delete(silent, conn)
+					mu.Unlock()
+				})
 			}()
 		}
 	}()
@@ -53,6 +64,11 @@ func ServeHTTPAndFrames(l net.Listener, h http.Handler) (shutdown func() error) 
 		once.Do(func() {
 			l.Close()
 			<-acceptDone
+			mu.Lock()
+			for c := range silent {
+				c.Close()
+			}
+			mu.Unlock()
 			// Order matters: the HTTP drain first (it completes in-flight
 			// bridged responses), then the frame conns, then the sniffers.
 			err = httpShutdown()
@@ -65,11 +81,13 @@ func ServeHTTPAndFrames(l net.Listener, h http.Handler) (shutdown func() error) 
 
 // sniffAndRoute peeks a connection's first bytes and hands it to the
 // matching protocol server. The peeked bytes stay in the connection's
-// buffered reader, which travels with it.
-func sniffAndRoute(conn net.Conn, fs *Server, httpL *chanListener) {
+// buffered reader, which travels with it. spoke runs once the peek
+// returns.
+func sniffAndRoute(conn net.Conn, fs *Server, httpL *chanListener, spoke func()) {
 	bc := &bufferedConn{Conn: conn, br: bufio.NewReaderSize(conn, 32<<10)}
 	conn.SetReadDeadline(time.Now().Add(sniffTimeout))
 	first, err := bc.br.Peek(4)
+	spoke()
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		conn.Close()

@@ -118,7 +118,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if _, err := io.ReadFull(br, frame[message.FrameHeaderSize:]); err != nil {
 			return
 		}
-		resp := s.dispatch(h, frame, conn.RemoteAddr().String())
+		resp, ok := s.dispatch(h, frame, conn.RemoteAddr().String())
+		if !ok {
+			return
+		}
 		conn.SetWriteDeadline(time.Now().Add(serverIOTimeout))
 		if _, err := conn.Write(resp); err != nil {
 			return
@@ -128,8 +131,24 @@ func (s *Server) ServeConn(conn net.Conn) {
 }
 
 // dispatch bridges one request frame into the HTTP stack and renders the
-// response frame.
-func (s *Server) dispatch(h message.FrameHeader, frame []byte, remote string) []byte {
+// response frame. ok is false when the handler aborted the exchange by
+// panicking with http.ErrAbortHandler (a fault injector's dropped
+// connection, say): as under net/http, the connection then closes
+// without an answer. Any other panic is re-raised.
+func (s *Server) dispatch(h message.FrameHeader, frame []byte, remote string) (resp []byte, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != http.ErrAbortHandler {
+				panic(r)
+			}
+			resp, ok = nil, false
+		}
+	}()
+	return s.render(h, frame, remote), true
+}
+
+// render bridges one request frame and encodes the response frame.
+func (s *Server) render(h message.FrameHeader, frame []byte, remote string) []byte {
 	switch h.Kind {
 	case message.FrameBatch:
 		// The frame IS the /batch body — no re-encode on either side.

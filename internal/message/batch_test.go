@@ -12,13 +12,13 @@ func TestBatchEnvelopeRoundTrip(t *testing.T) {
 		{ID: 1, Kind: BatchKindPost, Body: []byte("opaque-1")},
 		{ID: 2, Kind: BatchKindGet, Status: 503, Body: nil},
 	}
-	data, err := MarshalBatch(in)
+	data, err := MarshalBatchEpoch(nil, 0, in)
 	if err != nil {
-		t.Fatalf("MarshalBatch: %v", err)
+		t.Fatalf("MarshalBatchEpoch: %v", err)
 	}
-	out, err := UnmarshalBatch(data)
+	_, out, err := DecodeBatchFrame(data)
 	if err != nil {
-		t.Fatalf("UnmarshalBatch: %v", err)
+		t.Fatalf("DecodeBatchFrame: %v", err)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("entries = %d, want %d", len(out), len(in))
@@ -31,21 +31,20 @@ func TestBatchEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// The frame is the only batch wire format: the retired JSON envelope and
+// anything else without the frame magic are rejected, not parsed.
 func TestBatchEnvelopeRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name string
 		data []byte
-		want error
 	}{
-		{"not json", []byte("{"), ErrBatchEnvelope},
-		{"wrong version", []byte(`{"v":99,"entries":[{"id":0}]}`), ErrBatchVersion},
-		{"no entries", []byte(`{"v":1,"entries":[]}`), ErrBatchEnvelope},
-		{"duplicate ids", []byte(`{"v":1,"entries":[{"id":3},{"id":3}]}`), ErrBatchEnvelope},
-		{"negative id", []byte(`{"v":1,"entries":[{"id":-1}]}`), ErrBatchEnvelope},
+		{"not a frame", []byte("{")},
+		{"retired JSON envelope", []byte(`{"v":1,"entries":[{"id":0,"kind":"get"}]}`)},
+		{"empty", nil},
 	}
 	for _, tc := range cases {
-		if _, err := UnmarshalBatch(tc.data); !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		if _, _, err := DecodeBatchFrame(tc.data); !errors.Is(err, ErrNotFrame) {
+			t.Errorf("%s: err = %v, want ErrNotFrame", tc.name, err)
 		}
 	}
 }

@@ -7,12 +7,10 @@ import (
 	"slices"
 )
 
-// This file is the binary batch-frame codec used on the inter-hop links
-// (internal/hopwire, DESIGN.md §4h). The JSON envelope in message.go
-// remains the v1 wire format — UnmarshalBatch accepts both, so a frame
-// speaker can talk to a JSON-era peer during a rolling upgrade — but
-// MarshalBatch now emits frames: no base64, no intermediate JSON, and the
-// encoder appends into caller-provided (poolable) buffers.
+// This file is the binary batch-frame codec, the one wire format of the
+// inter-hop links (internal/hopwire, DESIGN.md §4h): no base64, no
+// intermediate JSON, and the encoder appends into caller-provided
+// (poolable) buffers.
 //
 // Frame layout (big-endian):
 //
@@ -29,7 +27,7 @@ import (
 // zeros) — so a wire observer cannot distinguish the messages inside a
 // frame by size, preserving the §4.3 constant-size discipline at frame
 // granularity. Ids are the sequential slot positions minted after the
-// shuffle, exactly as in the JSON envelope.
+// shuffle.
 //
 // An error frame (kind FrameError) carries no slots: its payload is
 // [status uint16][constant-class text], count and slot size are zero. It
@@ -37,9 +35,9 @@ import (
 
 // Frame layout constants.
 const (
-	// FrameVersion is the binary frame wire version. (Version 1 is the
-	// JSON envelope; the version byte here is independent of BatchVersion
-	// but kept disjoint so a hexdump is unambiguous.)
+	// FrameVersion is the binary frame wire version. (Version 1 was a
+	// retired JSON envelope; the number stays disjoint so a hexdump is
+	// unambiguous.)
 	FrameVersion = 2
 
 	// FrameHeaderSize is the fixed frame header length in bytes.
@@ -85,8 +83,8 @@ const (
 	FrameTelemetry byte = 4
 )
 
-// frameMagic starts every binary frame; JSON envelopes start with '{', so
-// one byte distinguishes the formats.
+// frameMagic starts every binary frame; HTTP requests never start with
+// it, which is how a hopwire listener tells the protocols apart.
 var frameMagic = [4]byte{'P', 'P', 'X', 'B'}
 
 // Header bytes 6–7 are a literal CRLF, not free reserved space. An
@@ -95,22 +93,17 @@ var frameMagic = [4]byte{'P', 'P', 'X', 'B'}
 // the server would block indefinitely and the hopwire client could not
 // tell "peer is slow" from "peer does not speak frames". With CRLF at a
 // fixed offset the first 8 bytes always terminate the request line: a
-// frame-illiterate server answers 400 and closes at once, which is the
-// prompt ErrUnsupported signal the HTTP fallback detection relies on.
+// frame-illiterate server answers 400 and closes at once, so a frame sent
+// to the wrong listener fails its exchange promptly instead of hanging.
 const (
 	frameCR byte = '\r'
 	frameLF byte = '\n'
 )
 
-// Frame codec errors. Structural faults wrap ErrBatchEnvelope and version
-// faults ErrBatchVersion, so receivers classify frames and JSON envelopes
-// with the same errors.Is checks.
-var (
-	// ErrNotFrame reports bytes that do not start with the frame magic —
-	// the signal to try the JSON envelope path (or, for hopwire, that the
-	// peer does not speak the protocol).
-	ErrNotFrame = errors.New("message: not a batch frame")
-)
+// ErrNotFrame reports bytes that do not start with the frame magic.
+// Structural faults wrap ErrBatchEnvelope and version faults
+// ErrBatchVersion.
+var ErrNotFrame = errors.New("message: not a batch frame")
 
 // entry kind codes inside a slot.
 const (
@@ -328,8 +321,8 @@ func AppendErrorFrame(dst []byte, epoch uint64, status int, text string) []byte 
 
 // DecodeBatchFrame parses a batch or single frame. Decoded entry bodies
 // alias data — the caller owns data and must not recycle it while the
-// entries live. Entry ids are validated unique and in range, matching the
-// JSON envelope contract.
+// entries live. Entry ids are validated unique and in range, so a
+// receiver can key per-message results by id without aliasing.
 func DecodeBatchFrame(data []byte) (uint64, []BatchEntry, error) {
 	h, err := ParseFrameHeader(data)
 	if err != nil {
@@ -395,8 +388,8 @@ func unpadSlot(p []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: malformed slot padding", ErrBatchEnvelope)
 	}
 	if i == 0 {
-		// Keep zero-length bodies nil, matching the JSON envelope where
-		// an empty body field round-trips as nil.
+		// Keep zero-length bodies nil, so an empty body round-trips as
+		// nil.
 		return nil, nil
 	}
 	return p[:i], nil

@@ -20,7 +20,7 @@ func TestFrameRoundTripWithEpoch(t *testing.T) {
 	if !IsFrame(data) {
 		t.Fatal("MarshalBatchEpoch did not produce a frame")
 	}
-	epoch, out, err := UnmarshalBatchEpoch(data)
+	epoch, out, err := DecodeBatchFrame(data)
 	if err != nil {
 		t.Fatalf("UnmarshalBatchEpoch: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestFrameSlotsAreConstantSize(t *testing.T) {
 		{ID: 1, Kind: BatchKindPost, Body: bytes.Repeat([]byte("b"), 200)},
 		{ID: 2, Kind: BatchKindGet, Body: []byte{}},
 	}
-	data, err := MarshalBatch(in)
+	data, err := MarshalBatchEpoch(nil, 0, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFrameSlotsAreConstantSize(t *testing.T) {
 	}
 	// Two batches whose bodies differ in length (within a quantum) must
 	// produce byte-identical frame geometry.
-	other, err := MarshalBatch([]BatchEntry{
+	other, err := MarshalBatchEpoch(nil, 0, []BatchEntry{
 		{ID: 0, Kind: BatchKindGet, Body: bytes.Repeat([]byte("c"), 60)},
 		{ID: 1, Kind: BatchKindPost, Body: bytes.Repeat([]byte("d"), 201)},
 		{ID: 2, Kind: BatchKindGet, Body: []byte("ee")},
@@ -89,7 +89,7 @@ func TestFrameEncodeIntoDirtyBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, out, err := UnmarshalBatchEpoch(data)
+	_, out, err := DecodeBatchFrame(data)
 	if err != nil {
 		t.Fatalf("decode from dirty buffer: %v", err)
 	}
@@ -191,14 +191,10 @@ func TestFrameDecodeRejectsBadInput(t *testing.T) {
 		}), ErrBatchEnvelope},
 	}
 	for _, tc := range cases {
-		if _, _, err := UnmarshalBatchEpoch(tc.data); err == nil {
+		if _, _, err := DecodeBatchFrame(tc.data); err == nil {
 			t.Errorf("%s: decode accepted bad input", tc.name)
 		} else if tc.want != nil && !errors.Is(err, tc.want) {
-			// Bad magic falls through to the JSON path, which reports
-			// ErrBatchEnvelope; accept either classification there.
-			if !(errors.Is(tc.want, ErrNotFrame) && errors.Is(err, ErrBatchEnvelope)) {
-				t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
-			}
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }
@@ -217,33 +213,8 @@ func TestFrameEncodeRejectsUnrepresentable(t *testing.T) {
 		{"status overflow", []BatchEntry{{ID: 0, Status: 1 << 17}}},
 	}
 	for _, tc := range cases {
-		if _, err := MarshalBatch(tc.entries); err == nil {
+		if _, err := MarshalBatchEpoch(nil, 0, tc.entries); err == nil {
 			t.Errorf("%s: encoder accepted it", tc.name)
-		}
-	}
-}
-
-// Rolling upgrade: a binary-era receiver must still accept the JSON v1
-// envelope byte-for-byte.
-func TestUnmarshalBatchAcceptsLegacyJSON(t *testing.T) {
-	in := []BatchEntry{
-		{ID: 0, Kind: BatchKindGet, Body: []byte("legacy")},
-		{ID: 1, Kind: BatchKindPost, Body: []byte("bytes")},
-	}
-	data, err := MarshalBatchJSON(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if IsFrame(data) {
-		t.Fatal("JSON envelope sniffed as a frame")
-	}
-	out, err := UnmarshalBatch(data)
-	if err != nil {
-		t.Fatalf("UnmarshalBatch(JSON): %v", err)
-	}
-	for i := range in {
-		if out[i].ID != in[i].ID || out[i].Kind != in[i].Kind || !bytes.Equal(out[i].Body, in[i].Body) {
-			t.Errorf("entry %d = %+v, want %+v", i, out[i], in[i])
 		}
 	}
 }

@@ -80,7 +80,7 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic or over-read; on success the contract holds:
 		// bounded entry count, unique in-range ids, bodies inside data.
-		_, entries, err := UnmarshalBatchEpoch(data)
+		_, entries, err := DecodeBatchFrame(data)
 		if err != nil {
 			return
 		}

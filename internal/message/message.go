@@ -30,21 +30,15 @@ const (
 	QueriesPath = "/queries"
 	// HealthPath reports liveness.
 	HealthPath = "/healthz"
-	// BatchPath accepts one batch envelope per shuffle epoch on the
-	// UA→IA link (epoch-batched pipeline, DESIGN.md §4f). The LRS never
-	// serves it: the IA demultiplexes and speaks the legacy per-message
-	// API downstream.
+	// BatchPath accepts one batch frame per shuffle epoch on the UA→IA
+	// link (hop pipeline, DESIGN.md §4f). The LRS never serves it: the
+	// IA demultiplexes and speaks the legacy per-message API downstream.
 	BatchPath = "/batch"
 	// TelemetryPath accepts one epoch-granular node snapshot
-	// (internal/telemetry) at the fleet collector. Frame speakers carry
-	// the same body as a FrameTelemetry frame; frame-illiterate nodes
-	// POST it here directly.
+	// (internal/telemetry) at the fleet collector; it arrives as a
+	// FrameTelemetry frame.
 	TelemetryPath = "/telemetry"
 )
-
-// BatchVersion is the batch-envelope wire version. A receiver rejects
-// envelopes from a future version instead of guessing at their layout.
-const BatchVersion = 1
 
 // Batch entry kinds, the request-direction dispatch tag standing in for
 // the per-message URL path.
@@ -64,12 +58,12 @@ var (
 	// ErrMalformedList reports an item-list block of the wrong size.
 	ErrMalformedList = errors.New("message: malformed fixed-size item list")
 
-	// ErrBatchVersion reports a batch envelope with an unsupported wire
+	// ErrBatchVersion reports a batch frame with an unsupported wire
 	// version.
 	ErrBatchVersion = errors.New("message: unsupported batch envelope version")
 
-	// ErrBatchEnvelope reports a structurally invalid batch envelope
-	// (duplicate or negative ids, no entries).
+	// ErrBatchEnvelope reports a structurally invalid batch frame
+	// (duplicate or out-of-range ids, no entries, bad lengths).
 	ErrBatchEnvelope = errors.New("message: malformed batch envelope")
 )
 
@@ -162,87 +156,25 @@ type OK struct {
 	Status string `json:"status"`
 }
 
-// BatchEntry is one opaque message inside a batch envelope. IDs are
+// BatchEntry is one opaque message inside a batch frame. IDs are
 // positions in the epoch's permuted release order (0..n-1) — sequential
 // integers minted after the shuffle, so they carry no information about
 // arrival order or the client behind a slot. The request direction sets
 // Kind; the response direction echoes the request's ID and sets Status.
-// Body is opaque to every hop that only forwards it (encoding/json
-// transports []byte as base64, matching the §5 ciphertext convention).
+// Body is opaque to every hop that only forwards it.
 type BatchEntry struct {
-	ID     int    `json:"id"`
-	Kind   string `json:"kind,omitempty"`
-	Status int    `json:"status,omitempty"`
-	Body   []byte `json:"body,omitempty"`
-}
-
-// BatchEnvelope is the versioned frame carrying one shuffle epoch as a
-// single message on the UA→IA link (one POST per epoch instead of S).
-type BatchEnvelope struct {
-	V       int          `json:"v"`
-	Entries []BatchEntry `json:"entries"`
-}
-
-// MarshalBatch frames entries as a binary batch frame (frame.go). The
-// JSON envelope remains accepted on the receive side, so the two wire
-// formats interoperate across a rolling upgrade.
-func MarshalBatch(entries []BatchEntry) ([]byte, error) {
-	return MarshalBatchEpoch(nil, 0, entries)
+	ID     int
+	Kind   string
+	Status int
+	Body   []byte
 }
 
 // MarshalBatchEpoch frames entries as a binary batch frame tagged with an
 // epoch id, appending to dst (which may come from a pool; pass nil for a
 // fresh buffer). The epoch id lets a persistent-connection transport
-// match a pooled response to its request.
+// match a pooled response to its request; DecodeBatchFrame parses it.
 func MarshalBatchEpoch(dst []byte, epoch uint64, entries []BatchEntry) ([]byte, error) {
 	return AppendBatchFrame(dst, FrameBatch, epoch, entries)
-}
-
-// MarshalBatchJSON frames entries into the legacy version-tagged JSON
-// envelope (wire format v1), kept for rolling-upgrade tests and JSON-era
-// peers.
-func MarshalBatchJSON(entries []BatchEntry) ([]byte, error) {
-	return Marshal(BatchEnvelope{V: BatchVersion, Entries: entries})
-}
-
-// UnmarshalBatch parses and validates a batch envelope in either wire
-// format: bytes starting with the frame magic decode as a binary frame,
-// anything else as the legacy JSON envelope. Entry ids are unique and
-// non-negative in both, so a receiver can key per-message results by id
-// without aliasing.
-func UnmarshalBatch(data []byte) ([]BatchEntry, error) {
-	_, entries, err := UnmarshalBatchEpoch(data)
-	return entries, err
-}
-
-// UnmarshalBatchEpoch is UnmarshalBatch plus the frame's epoch id, so a
-// receiver can echo it on the response frame (JSON envelopes carry no
-// epoch and report 0).
-func UnmarshalBatchEpoch(data []byte) (uint64, []BatchEntry, error) {
-	if IsFrame(data) {
-		return DecodeBatchFrame(data)
-	}
-	var env BatchEnvelope
-	if err := Unmarshal(data, &env); err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrBatchEnvelope, err)
-	}
-	if env.V != BatchVersion {
-		return 0, nil, fmt.Errorf("%w: got v%d, want v%d", ErrBatchVersion, env.V, BatchVersion)
-	}
-	if len(env.Entries) == 0 {
-		return 0, nil, fmt.Errorf("%w: no entries", ErrBatchEnvelope)
-	}
-	seen := make(map[int]struct{}, len(env.Entries))
-	for _, e := range env.Entries {
-		if e.ID < 0 {
-			return 0, nil, fmt.Errorf("%w: negative id %d", ErrBatchEnvelope, e.ID)
-		}
-		if _, dup := seen[e.ID]; dup {
-			return 0, nil, fmt.Errorf("%w: duplicate id %d", ErrBatchEnvelope, e.ID)
-		}
-		seen[e.ID] = struct{}{}
-	}
-	return 0, env.Entries, nil
 }
 
 // BatchKindPath maps an entry kind to the per-message path it stands for,

@@ -12,31 +12,31 @@ import (
 	"pprox/internal/enclave"
 	"pprox/internal/message"
 	"pprox/internal/resilience"
+	"pprox/internal/trace"
 )
 
-// This file is the epoch-batched hop pipeline (DESIGN.md §4f). The
-// per-message path wakes S goroutines per shuffle flush, each paying one
-// enclave crossing and one UA→IA round trip; here a flush hands the whole
-// permuted epoch to ONE job that crosses the enclave once per message
-// kind and leaves as ONE batch envelope. The IA demultiplexes the
-// envelope, batch-processes it, speaks the legacy per-message API to the
-// LRS under a bounded fan-out, and returns every result in one envelope
-// whose entry order is re-permuted by its own shuffler.
+// This file is the hop pipeline (DESIGN.md §4f), the only path a UA
+// request takes to the IA. A shuffle flush hands the whole permuted epoch
+// to ONE job that crosses the enclave once per message kind and leaves
+// as ONE batch frame over hopwire. The IA demultiplexes the frame,
+// batch-processes it, speaks the legacy per-message API to the LRS under
+// a bounded fan-out, and returns every result in one frame whose entry
+// order is re-permuted by its own shuffler. With shuffling off (S ≤ 1)
+// there is no shuffler: each request is its own one-message epoch.
 //
-// Privacy: a request's envelope slot is its position in the shuffler's
-// permuted release order, so a wire observer of the UA→IA link learns
-// exactly what the per-message path already showed — S messages leaving
-// in permuted order — minus the per-message timing. Entry ids are those
-// positions (sequential integers minted after the shuffle); response
-// entries echo them, which reveals no more than per-message HTTP did,
-// where each response rode its own request's exchange.
+// Privacy: a request's frame slot is its position in the shuffler's
+// permuted release order, so a wire observer of the UA→IA link sees S
+// messages leave together in permuted order and nothing finer. Entry ids
+// are those positions (sequential integers minted after the shuffle);
+// response entries echo them.
 
-// batchItem is one request riding a shuffle epoch in batch mode.
+// batchItem is one request riding a shuffle epoch.
 type batchItem struct {
 	isGet bool
 	body  []byte
 	ctx   context.Context
 	enq   time.Time
+	wait  trace.Span       // shuffle_wait span, ended when the epoch runs
 	done  chan batchResult // buffered 1: delivery never blocks the pipeline
 }
 
@@ -66,10 +66,11 @@ func failBatchItems(vals []any, err error) {
 	}
 }
 
-// handleUABatch is the UA request path in batch mode: join the current
-// shuffle epoch without blocking a goroutine inside the pipeline, then
-// wait for the epoch's batch job to resolve this message.
-func (l *Layer) handleUABatch(ctx context.Context, body []byte, isGet bool) (int, []byte, error) {
+// handleUA is the UA request path: join the current shuffle epoch
+// without blocking a goroutine inside the pipeline, then wait for the
+// epoch's job to resolve this message. Without a shuffler the request
+// runs as a one-message epoch on its own goroutine.
+func (l *Layer) handleUA(ctx context.Context, body []byte, isGet bool) (int, []byte, error) {
 	it := &batchItem{
 		isGet: isGet,
 		body:  body,
@@ -77,8 +78,13 @@ func (l *Layer) handleUABatch(ctx context.Context, body []byte, isGet bool) (int
 		enq:   time.Now(),
 		done:  make(chan batchResult, 1),
 	}
-	if err := l.shuffler.Enqueue(it); err != nil {
-		return 0, nil, err
+	if l.shuffler == nil {
+		l.runBatch([]any{it})
+	} else {
+		it.wait = l.tracer.Load().Start(StageShuffleWait)
+		if err := l.shuffler.Enqueue(it); err != nil {
+			return 0, nil, err
+		}
 	}
 	select {
 	case res := <-it.done:
@@ -88,16 +94,19 @@ func (l *Layer) handleUABatch(ctx context.Context, body []byte, isGet bool) (int
 		return res.status, res.body, nil
 	case <-ctx.Done():
 		// The caller departs; the epoch still processes the message
-		// (deliver lands in the buffered channel), exactly like a Wait
-		// slot whose owner timed out.
+		// (deliver lands in the buffered channel) and its slot still
+		// counts toward the epoch it joined.
 		return 0, nil, ctx.Err()
 	}
 }
 
-// callBatch runs one batched enclave crossing, falling back to
-// per-message ECALLs when the crossing itself cannot run — most notably
-// an epoch whose marshalling buffer the EPC cannot hold.
+// callBatch runs one batched enclave crossing under the data-processing
+// worker pool (the paper's fixed in-enclave thread pool, §5), falling
+// back to per-message ECALLs when the crossing itself cannot run — most
+// notably an epoch whose marshalling buffer the EPC cannot hold.
 func (l *Layer) callBatch(name string, ins [][]byte) ([][]byte, []error) {
+	l.workers <- struct{}{}
+	defer func() { <-l.workers }()
 	outs, errs, err := l.cfg.Enclave.CallBatch(name, ins)
 	if err == nil {
 		return outs, errs
@@ -113,9 +122,9 @@ func (l *Layer) callBatch(name string, ins [][]byte) ([][]byte, []error) {
 	return outs, errs
 }
 
-// runBatch processes one released epoch end to end on the job pool. vals
-// arrive in the shuffler's permuted order; that order is the envelope
-// order and slot index is entry id.
+// runBatch processes one released epoch end to end. vals arrive in the
+// shuffler's permuted order; that order is the frame order and slot
+// index is entry id.
 func (l *Layer) runBatch(vals []any) {
 	items := make([]*batchItem, 0, len(vals))
 	for _, v := range vals {
@@ -126,20 +135,31 @@ func (l *Layer) runBatch(vals []any) {
 	if len(items) == 0 {
 		return
 	}
-	now := time.Now()
-	for _, it := range items {
-		l.observeStageDur(StageShuffleWait, now.Sub(it.enq))
+	if l.shuffler != nil {
+		now := time.Now()
+		for _, it := range items {
+			l.observeStageDur(StageShuffleWait, now.Sub(it.enq))
+			it.wait.End()
+		}
 	}
 	l.batches.Add(1)
 	l.batchMsgs.Add(uint64(len(items)))
 
-	// Stage 1: one enclave crossing per message kind for the whole epoch.
+	// Stage 1: one enclave crossing per message kind for the whole epoch
+	// (none under PassThrough, which forwards bodies unchanged).
 	outs := make([][]byte, len(items))
 	dead := make([]bool, len(items))
-	for _, group := range []struct {
+	for i, it := range items {
+		outs[i] = it.body
+	}
+	groups := []struct {
 		ecall string
 		isGet bool
-	}{{ecallUAGet, true}, {ecallUAPost, false}} {
+	}{{ecallUAGet, true}, {ecallUAPost, false}}
+	if l.cfg.PassThrough {
+		groups = nil
+	}
+	for _, group := range groups {
 		var idxs []int
 		var ins [][]byte
 		for i, it := range items {
@@ -164,7 +184,7 @@ func (l *Layer) runBatch(vals []any) {
 		}
 	}
 
-	// Assemble the envelope in epoch (slot) order; ids are slot indexes.
+	// Assemble the frame in epoch (slot) order; ids are slot indexes.
 	entries := make([]message.BatchEntry, 0, len(items))
 	owners := make([]*batchItem, 0, len(items))
 	for i, it := range items {
@@ -203,15 +223,8 @@ func (l *Layer) runBatch(vals []any) {
 		for j, id := range ids {
 			sub[j] = entries[id]
 		}
-		// Each (sub-)envelope send mints a fresh epoch id: the frame
-		// transport matches the pooled response to this exact exchange by
-		// it, and a retry is a new exchange.
-		payload, err := message.MarshalBatchEpoch(nil, l.hopEpoch.Add(1), sub)
-		if err != nil {
-			return err
-		}
 		actx, cancel := l.policy.AttemptContext(context.Background())
-		status, respBody, err := l.forward(actx, message.BatchPath, payload)
+		status, respBody, err := l.sendFrame(actx, sub)
 		cancel()
 		if err != nil {
 			l.breaker.Report(false)
@@ -221,7 +234,7 @@ func (l *Layer) runBatch(vals []any) {
 		if status != http.StatusOK {
 			return fmt.Errorf("proxy: batch hop status %d", status)
 		}
-		results, err := message.UnmarshalBatch(respBody)
+		results, err := decodeResults(respBody)
 		if err != nil {
 			return err
 		}
@@ -235,22 +248,18 @@ func (l *Layer) runBatch(vals []any) {
 				deliver(id, batchResult{err: fmt.Errorf("proxy: batch response missing an entry")})
 				continue
 			}
-			st := res.Status
-			if st == 0 {
-				st = http.StatusOK
-			}
-			deliver(id, batchResult{status: st, body: res.Body})
+			deliver(id, batchResult{status: res.Status, body: res.Body})
 		}
 		return nil
 	}
 
 	// prep re-randomizes the sub-batch's hop envelopes as a unit before a
-	// retry leaves: one link/rewrap crossing for the whole sub-batch, the
-	// batch analogue of uaRetryPrep. (No shuffler re-entry: the epoch
-	// already granted these messages their anonymity set, and the batch
-	// itself leaves as one message.)
+	// retry leaves: one link/rewrap crossing for the whole sub-batch, so
+	// the retried bytes are unrelated to the failed attempt's. (No
+	// shuffler re-entry: the epoch already granted these messages their
+	// anonymity set, and the batch itself leaves as one message.)
 	prep := func(ids []int) error {
-		if len(ids) == 0 || !isLinkWrapped(entries[ids[0]].Body) {
+		if l.cfg.PassThrough || len(ids) == 0 || !isLinkWrapped(entries[ids[0]].Body) {
 			return nil
 		}
 		ins := make([][]byte, len(ids))
@@ -269,16 +278,25 @@ func (l *Layer) runBatch(vals []any) {
 		return nil
 	}
 
-	// single degrades one message to the per-message forwarding path
-	// under the item's own context, so one poison message cannot wedge
-	// its epoch.
+	// single is the ladder's last rung: one message alone in a one-entry
+	// envelope under the item's own context and the same retry policy
+	// and rewrap prep, so one poison message cannot wedge its epoch.
 	single := func(id int) {
-		it := owners[id]
-		path := message.EventsPath
-		if it.isGet {
-			path = message.QueriesPath
-		}
-		status, respBody, err := l.forwardResilient(it.ctx, path, entries[id].Body, l.uaBatchRetryPrep)
+		e := entries[id]
+		status, respBody, err := l.forwardResilient(owners[id].ctx, e.Body, l.rewrap,
+			func(actx context.Context, body []byte) (int, []byte, error) {
+				status, resp, err := l.sendFrame(actx, []message.BatchEntry{{ID: e.ID, Kind: e.Kind, Body: body}})
+				if err != nil || status != http.StatusOK {
+					// An error frame prices the whole exchange; the
+					// retry policy judges its status.
+					return status, resp, err
+				}
+				results, err := decodeResults(resp)
+				if err != nil {
+					return 0, nil, err
+				}
+				return results[0].Status, results[0].Body, nil
+			})
 		if err != nil {
 			deliver(id, batchResult{err: err})
 			return
@@ -300,24 +318,48 @@ func (l *Layer) runBatch(vals []any) {
 	}
 }
 
-// uaBatchRetryPrep is uaRetryPrep for degraded per-message sends out of a
-// batch epoch: re-randomize the hop envelope, but do NOT re-enter the
-// shuffler — the message already spent its epoch wait, and blocking the
-// job pool on a future epoch could deadlock shutdown.
-func (l *Layer) uaBatchRetryPrep(ctx context.Context, body []byte) ([]byte, error) {
-	if isLinkWrapped(body) {
-		return l.process(StageEcallRewrap, ecallLinkRewrap, body)
+// sendFrame forwards entries as one batch frame. Each send mints a fresh
+// epoch id: the frame transport matches the pooled response to this
+// exact exchange by it, and a retry is a new exchange.
+func (l *Layer) sendFrame(ctx context.Context, entries []message.BatchEntry) (int, []byte, error) {
+	payload, err := message.MarshalBatchEpoch(nil, l.hopEpoch.Add(1), entries)
+	if err != nil {
+		return 0, nil, err
 	}
-	return body, nil
+	return l.forward(ctx, message.BatchPath, payload)
+}
+
+// decodeResults parses a response frame, defaulting unset entry
+// statuses to 200.
+func decodeResults(frame []byte) ([]message.BatchEntry, error) {
+	_, results, err := message.DecodeBatchFrame(frame)
+	if err != nil {
+		return nil, err
+	}
+	for i := range results {
+		if results[i].Status == 0 {
+			results[i].Status = http.StatusOK
+		}
+	}
+	return results, nil
+}
+
+// rewrap re-randomizes one message's hop envelope before a retried
+// one-entry send leaves again (link-key deployments only).
+func (l *Layer) rewrap(body []byte) ([]byte, error) {
+	if l.cfg.PassThrough || !isLinkWrapped(body) {
+		return body, nil
+	}
+	return l.process(StageEcallRewrap, ecallLinkRewrap, body)
 }
 
 // --- IA side: the /batch route ------------------------------------------
 
-// handleBatch demultiplexes one batch envelope: batch ECALLs for the
+// handleBatch demultiplexes one batch frame: batch ECALLs for the
 // enclave stages, per-message LRS traffic under the bounded fan-out, and
-// one response envelope whose entry order follows this layer's own
-// shuffle permutation — so batch epochs feed the auditor, tracer, and
-// cache exactly like waiter epochs do.
+// one response frame — echoing the request's epoch id — whose entry
+// order follows this layer's own shuffle permutation, so inbound epochs
+// feed the auditor, tracer, and cache.
 func (l *Layer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(r.Body, maxBatchBody)
 	if err != nil {
@@ -328,7 +370,7 @@ func (l *Layer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		l.fail(w, http.StatusBadRequest, "read request")
 		return
 	}
-	epoch, entries, err := message.UnmarshalBatchEpoch(body)
+	epoch, entries, err := message.DecodeBatchFrame(body)
 	if err != nil {
 		l.fail(w, http.StatusBadRequest, "bad batch envelope")
 		return
@@ -345,15 +387,7 @@ func (l *Layer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, p := range perm {
 		out[i] = results[p]
 	}
-	// Answer in the wire format of the request, echoing its epoch id: a
-	// frame-era UA validates the echo against its exchange, a JSON-era UA
-	// (rolling upgrade) gets the envelope it can parse.
-	var payload []byte
-	if message.IsFrame(body) {
-		payload, err = message.MarshalBatchEpoch(nil, epoch, out)
-	} else {
-		payload, err = message.MarshalBatchJSON(out)
-	}
+	payload, err := message.MarshalBatchEpoch(nil, epoch, out)
 	if err != nil {
 		l.fail(w, http.StatusInternalServerError, "marshal batch")
 		return
@@ -365,16 +399,12 @@ func (l *Layer) handleBatch(w http.ResponseWriter, r *http.Request) {
 			l.failed.Add(1)
 		}
 	}
-	if message.IsFrame(payload) {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(payload)
 }
 
 // errEntry prices a failed entry with the same status mapping and
-// constant text the per-message path uses.
+// constant text a UA answers its client with.
 func errEntry(id int, err error) message.BatchEntry {
 	return message.BatchEntry{ID: id, Status: statusFor(err), Body: []byte(failText(err))}
 }
@@ -396,15 +426,35 @@ func (l *Layer) processBatch(ctx context.Context, entries []message.BatchEntry) 
 			results[i] = message.BatchEntry{ID: e.ID, Status: http.StatusBadRequest, Body: []byte("unknown kind")}
 		}
 	}
+	if l.cfg.PassThrough {
+		l.passBatch(ctx, entries, append(posts, gets...), results)
+		return results
+	}
 	l.processBatchPosts(ctx, entries, posts, results)
 	l.processBatchGets(ctx, entries, gets, results)
 	return results
 }
 
+// passBatch is processBatch under PassThrough (m1): no enclave
+// crossings — every entry goes to the LRS unchanged and its answer comes
+// back as is.
+func (l *Layer) passBatch(ctx context.Context, entries []message.BatchEntry, idxs []int, results []message.BatchEntry) {
+	l.fanOut(len(idxs), func(k int) {
+		e := entries[idxs[k]]
+		path, _ := message.BatchKindPath(e.Kind)
+		status, body, err := l.forwardLRS(ctx, path, e.Body)
+		if err != nil {
+			results[idxs[k]] = errEntry(e.ID, err)
+			return
+		}
+		results[idxs[k]] = message.BatchEntry{ID: e.ID, Status: status, Body: body}
+	})
+}
+
 // fanOut runs fn(k) for k in [0, n) on at most the LRS semaphore's
 // capacity of workers — the bounded replacement for one goroutine per
 // message. fn still acquires the semaphore per request, sharing the
-// budget with every other epoch and the per-message path.
+// budget with every other epoch.
 func (l *Layer) fanOut(n int, fn func(k int)) {
 	workers := l.lrsSem.Cap()
 	if workers <= 0 || workers > n {
@@ -591,8 +641,7 @@ func (l *Layer) processBatchGets(ctx context.Context, entries []message.BatchEnt
 
 // batchGetFetch runs one get's LRS round trip, coalescing concurrent
 // misses for the same pseudonym through the cache's single-flight door
-// (with the same follower-retry-on-leader-failure rule as the
-// per-message path).
+// (a follower whose leader failed gets one fetch of its own).
 func (l *Layer) batchGetFetch(ctx context.Context, st *batchGetState) (status int, body []byte, shared bool, err error) {
 	if st.key == "" {
 		status, body, err = l.forwardLRS(ctx, message.QueriesPath, st.body)

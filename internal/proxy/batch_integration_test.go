@@ -1,7 +1,9 @@
 package proxy_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"sync/atomic"
 	"testing"
@@ -31,7 +33,6 @@ func TestBatchEndToEnd(t *testing.T) {
 		useStub:        true,
 		shuffleSize:    s,
 		shuffleTimeout: 200 * time.Millisecond,
-		batch:          true,
 		pairLink:       true,
 	})
 	ctx := ctxT(t)
@@ -88,7 +89,6 @@ func TestBatchMixedPostsAndGets(t *testing.T) {
 		useStub:        true,
 		shuffleSize:    s,
 		shuffleTimeout: 200 * time.Millisecond,
-		batch:          true,
 		pairLink:       true,
 	})
 	ctx := ctxT(t)
@@ -113,10 +113,10 @@ func TestBatchMixedPostsAndGets(t *testing.T) {
 	}
 }
 
-// TestBatchDegradationLadder kills the IA's /batch route for long enough
-// that the whole-envelope attempts and both split halves fail: every
-// message must still succeed via per-message degradation, and the ladder
-// counters must show the descent.
+// TestBatchDegradationLadder makes the IA refuse every multi-entry
+// frame, so the whole-envelope attempts and both split halves fail:
+// every message must still succeed in a one-entry frame of its own, and
+// the ladder counters must show the descent.
 func TestBatchDegradationLadder(t *testing.T) {
 	const s = 4
 	var batchFails atomic.Int64
@@ -124,12 +124,11 @@ func TestBatchDegradationLadder(t *testing.T) {
 		useStub:        true,
 		shuffleSize:    s,
 		shuffleTimeout: 100 * time.Millisecond,
-		batch:          true,
 		pairLink:       true,
 		policy:         batchPolicy,
 		iaMiddleware: func(next http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == message.BatchPath {
+				if r.URL.Path == message.BatchPath && entryCount(r) > 1 {
 					batchFails.Add(1)
 					http.Error(w, "injected", http.StatusServiceUnavailable)
 					return
@@ -152,7 +151,7 @@ func TestBatchDegradationLadder(t *testing.T) {
 	}
 	for i := 0; i < s; i++ {
 		if err := <-errc; err != nil {
-			t.Fatalf("get during /batch outage: %v", err)
+			t.Fatalf("get during the multi-entry outage: %v", err)
 		}
 	}
 
@@ -171,6 +170,17 @@ func TestBatchDegradationLadder(t *testing.T) {
 	}
 }
 
+// entryCount peeks at a /batch request's frame and restores its body.
+func entryCount(r *http.Request) int {
+	body, _ := io.ReadAll(r.Body)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	_, entries, err := message.DecodeBatchFrame(body)
+	if err != nil {
+		return 0
+	}
+	return len(entries)
+}
+
 // TestBatchWithRecommendationCache runs the batched get path against a
 // cache-enabled IA: first epoch misses and fills, second epoch for the
 // same users is served from the enclave cache without LRS round trips.
@@ -181,7 +191,6 @@ func TestBatchWithRecommendationCache(t *testing.T) {
 		useStub:        true,
 		shuffleSize:    s,
 		shuffleTimeout: 200 * time.Millisecond,
-		batch:          true,
 		pairLink:       true,
 		recCache:       cache,
 	})
@@ -213,18 +222,14 @@ func TestBatchWithRecommendationCache(t *testing.T) {
 	}
 }
 
-// TestBatchConfigValidation: batch mode is meaningless without the
-// enclave path and an anonymity set, so New must refuse those configs.
+// TestBatchConfigValidation: every message to the next hop rides a
+// hopwire frame, so New must refuse a config without a frame dialer.
 func TestBatchConfigValidation(t *testing.T) {
-	if _, err := proxy.New(proxy.Config{
-		Role: proxy.RoleUA, Next: "http://ia", PassThrough: true,
-		ShuffleSize: 4, Batch: true,
-	}); err == nil {
-		t.Error("New accepted Batch with PassThrough")
-	}
-	if _, err := proxy.New(proxy.Config{
-		Role: proxy.RoleUA, Next: "http://ia", Batch: true,
-	}); err == nil {
-		t.Error("New accepted Batch without a shuffler")
+	for _, role := range []proxy.Role{proxy.RoleUA, proxy.RoleIA} {
+		if _, err := proxy.New(proxy.Config{
+			Role: role, Next: "http://next", PassThrough: true, ShuffleSize: 4,
+		}); err == nil {
+			t.Errorf("New accepted a %v layer without a HopDialer", role)
+		}
 	}
 }

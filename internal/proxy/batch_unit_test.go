@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pprox/internal/enclave"
+	"pprox/internal/transport"
 )
 
 // TestCallBatchEPCFallback: when a whole epoch's marshalling buffer
@@ -30,7 +31,7 @@ func TestCallBatchEPCFallback(t *testing.T) {
 		Next:        "http://ia",
 		Enclave:     e,
 		ShuffleSize: 4,
-		Batch:       true,
+		HopDialer:   transport.NewNetwork(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,9 +14,9 @@ import (
 var ErrBodyTooLarge = errors.New("proxy: body exceeds size limit")
 
 // bodyPool recycles the scratch buffers behind every body read on the hot
-// path (request ingress and upstream responses). A bare io.ReadAll grows
-// a fresh chain of ever-larger slices per message; at high S that churn
-// dominates the allocation profile (see BenchmarkAblation_BodyBuffers).
+// path (client requests on the UA, bridged frames on the IA). A bare
+// io.ReadAll grows a fresh chain of ever-larger slices per message; at
+// high S that churn dominates the allocation profile.
 // Pooled buffers keep their grown capacity across messages; only the
 // final right-sized copy escapes.
 var bodyPool = sync.Pool{

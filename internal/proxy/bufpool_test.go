@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"pprox/internal/transport"
 )
 
 // Regression: readBody used a bare io.LimitReader(r, limit), so an
@@ -45,6 +47,7 @@ func TestHandlersReject413OnOversizedBody(t *testing.T) {
 		PassThrough: true,
 		Next:        "http://next",
 		HTTPClient:  &http.Client{},
+		HopDialer:   transport.NewNetwork(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,10 @@
 package proxy_test
 
 import (
+	"net/http"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,20 +57,31 @@ func TestCachedGetEndToEnd(t *testing.T) {
 
 func TestCacheStatsExportFrozenMidEpoch(t *testing.T) {
 	// The privacy property of the cache's observability: counters
-	// advance only when a shuffle epoch flushes, so a scraper polling
+	// advance only when a shuffle epoch is released, so a scraper polling
 	// /metrics mid-epoch cannot tell which of the in-flight requests hit
-	// the cache. The UA layer runs unshuffled here so requests can be
-	// parked inside the IA shuffler specifically.
+	// the cache. The LRS is gated so an epoch can be held mid-flight
+	// inside the IA: its hits resolved, its misses parked on the LRS.
 	cache := reccache.New(reccache.Config{TTL: time.Minute})
+	var gated atomic.Bool
+	gate := make(chan struct{})
+	parked := make(chan struct{}, 8)
 	st := newStack(t, stackOptions{
 		shuffleSize: 4, shuffleTimeout: 8 * time.Second,
-		useStub: true, recCache: cache, iaShuffleOnly: true,
+		useStub: true, recCache: cache,
+		lrsMiddleware: func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if gated.Load() {
+					parked <- struct{}{}
+					<-gate
+				}
+				next.ServeHTTP(w, r)
+			})
+		},
 	})
 	reg := metrics.NewRegistry()
 	st.ia.RegisterMetrics(reg, "ia-0")
 	ctx := ctxT(t)
 
-	users := []string{"u0", "u1", "u2", "u3"}
 	get := func(u string, wg *sync.WaitGroup) {
 		defer wg.Done()
 		if _, err := st.client.Get(ctx, u); err != nil {
@@ -76,9 +89,9 @@ func TestCacheStatsExportFrozenMidEpoch(t *testing.T) {
 		}
 	}
 
-	// Epoch 1: four misses fill the cache and flush together.
+	// Epoch 1: four misses fill the cache and release together.
 	var warm sync.WaitGroup
-	for _, u := range users {
+	for _, u := range []string{"u0", "u1", "u2", "u3"} {
 		warm.Add(1)
 		go get(u, &warm)
 	}
@@ -87,31 +100,34 @@ func TestCacheStatsExportFrozenMidEpoch(t *testing.T) {
 		t.Fatalf("misses exported after full epoch = %g, want 4", got)
 	}
 
-	// Epoch 2, first half: two hits enter the shuffler and block there.
+	// Epoch 2: two hits and two misses. The hits resolve inside the IA's
+	// crossing; the misses park on the gated LRS, holding the epoch.
+	gated.Store(true)
 	var epoch sync.WaitGroup
-	for _, u := range users[:2] {
+	for _, u := range []string{"u0", "u1", "new-0", "new-1"} {
 		epoch.Add(1)
 		go get(u, &epoch)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for cache.LiveStats().Hits < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("in-flight hits never reached the cache")
+	for i := 0; i < 2; i++ {
+		select {
+		case <-parked:
+		case <-time.After(3 * time.Second):
+			t.Fatal("epoch misses never reached the LRS")
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if hits := cache.LiveStats().Hits; hits != 2 {
+		t.Fatalf("live hits = %d with the epoch in flight, want 2", hits)
 	}
 	// The scrape mid-epoch must not see them.
 	if got := sumMetric(reg, "pprox_reccache_hits_total"); got != 0 {
 		t.Errorf("hits exported mid-epoch = %g, want 0 (export must be epoch-granular)", got)
 	}
 
-	// Second half fills the epoch; everything releases and publishes.
-	for _, u := range users[2:] {
-		epoch.Add(1)
-		go get(u, &epoch)
-	}
+	// Release the LRS; the epoch completes and publishes.
+	gated.Store(false)
+	close(gate)
 	epoch.Wait()
-	if got := sumMetric(reg, "pprox_reccache_hits_total"); got != 4 {
-		t.Errorf("hits exported after flush = %g, want 4", got)
+	if got := sumMetric(reg, "pprox_reccache_hits_total"); got != 2 {
+		t.Errorf("hits exported after release = %g, want 2", got)
 	}
 }

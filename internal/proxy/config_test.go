@@ -3,6 +3,8 @@ package proxy
 import (
 	"net/http"
 	"testing"
+
+	"pprox/internal/transport"
 )
 
 // Regression: a Layer built without an HTTP client used to fall back to
@@ -10,7 +12,7 @@ import (
 // request goroutine forever. The default must be the bounded transport
 // client.
 func TestNewDefaultsToBoundedClient(t *testing.T) {
-	l, err := New(Config{Role: RoleUA, PassThrough: true, Next: "http://next"})
+	l, err := New(Config{Role: RoleUA, PassThrough: true, Next: "http://next", HopDialer: transport.NewNetwork()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +29,7 @@ func TestNewDefaultsToBoundedClient(t *testing.T) {
 // no breaker — the seed behaviour, so existing deployments see no retries
 // they did not ask for.
 func TestNewWithoutPolicyIsSingleAttempt(t *testing.T) {
-	l, err := New(Config{Role: RoleIA, PassThrough: true, Next: "http://next"})
+	l, err := New(Config{Role: RoleIA, PassThrough: true, Next: "http://next", HopDialer: transport.NewNetwork()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -453,7 +453,8 @@ func NewIAEnclave(p *enclave.Platform, opts IAOptions) *enclave.Enclave {
 				// Cache hit: seal the pseudonymized list under this
 				// client's k_u right here, inside the enclave. The host
 				// gets a finished GetResponse and skips the LRS hop; the
-				// response still re-enters the shuffler like any miss.
+				// response still leaves in its epoch's frame like any
+				// miss.
 				sealed, err := sealItems(s, req.Tenant, ku, items)
 				if err != nil {
 					return nil, err

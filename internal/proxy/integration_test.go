@@ -14,6 +14,7 @@ import (
 	"pprox/internal/client"
 	"pprox/internal/enclave"
 	"pprox/internal/faults"
+	"pprox/internal/hopwire"
 	"pprox/internal/lrs/engine"
 	"pprox/internal/lrs/store"
 	"pprox/internal/message"
@@ -49,11 +50,6 @@ type stackOptions struct {
 	// recCache equips the IA layer with the in-enclave recommendation
 	// cache.
 	recCache *reccache.Cache
-	// iaShuffleOnly keeps the UA layer unshuffled so cache tests can
-	// hold requests mid-epoch inside the IA shuffler specifically.
-	iaShuffleOnly bool
-	// batch switches the UA layer to the epoch-batched pipeline.
-	batch bool
 	// pairLink provisions the shared UA→IA hop-envelope key.
 	pairLink bool
 	// policy arms resilience on both layers.
@@ -64,6 +60,8 @@ type stackOptions struct {
 	workers int
 	// iaMiddleware wraps the IA's handler (fault injection).
 	iaMiddleware func(http.Handler) http.Handler
+	// lrsMiddleware wraps the LRS's handler.
+	lrsMiddleware func(http.Handler) http.Handler
 }
 
 func newStack(t *testing.T, opts stackOptions) *stack {
@@ -129,6 +127,9 @@ func newStack(t *testing.T, opts stackOptions) *stack {
 		st.engine = engine.New(engine.DefaultConfig())
 		lrsHandler = engine.NewHandler(st.engine)
 	}
+	if opts.lrsMiddleware != nil {
+		lrsHandler = opts.lrsMiddleware(lrsHandler)
+	}
 	st.serve(t, "lrs", lrsHandler)
 
 	httpClient := transport.HTTPClient(st.net, 10*time.Second)
@@ -139,6 +140,7 @@ func newStack(t *testing.T, opts stackOptions) *stack {
 		Enclave:        st.iaEncl,
 		Next:           "http://lrs",
 		HTTPClient:     httpClient,
+		HopDialer:      st.net,
 		ShuffleSize:    opts.shuffleSize,
 		ShuffleTimeout: opts.shuffleTimeout,
 		PassThrough:    opts.passThrough,
@@ -156,19 +158,15 @@ func newStack(t *testing.T, opts stackOptions) *stack {
 	}
 	st.serve(t, "ia", iaHandler)
 
-	uaShuffle := opts.shuffleSize
-	if opts.iaShuffleOnly {
-		uaShuffle = 0
-	}
 	st.ua, err = proxy.New(proxy.Config{
 		Role:           proxy.RoleUA,
 		Enclave:        st.uaEncl,
 		Next:           "http://ia",
 		HTTPClient:     httpClient,
-		ShuffleSize:    uaShuffle,
+		HopDialer:      st.net,
+		ShuffleSize:    opts.shuffleSize,
 		ShuffleTimeout: opts.shuffleTimeout,
 		PassThrough:    opts.passThrough,
-		Batch:          opts.batch,
 		Resilience:     opts.policy,
 		Workers:        opts.workers,
 	})
@@ -191,7 +189,7 @@ func (st *stack) serve(t *testing.T, addr string, h http.Handler) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shutdown := transport.Serve(l, h)
+	shutdown := hopwire.ServeHTTPAndFrames(l, h)
 	st.cleanup = append(st.cleanup, func() { shutdown() })
 }
 
@@ -380,8 +378,10 @@ func TestEndToEndWithShuffling(t *testing.T) {
 	if _, err := st.client.Get(ctx, "solo"); err != nil {
 		t.Fatalf("solo get under shuffling: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed < 90*time.Millisecond {
-		// Two shuffle stages (UA requests, IA responses) × 50 ms timer.
+	if elapsed := time.Since(start); elapsed < 45*time.Millisecond {
+		// The UA holds the request for its 50 ms timer; the IA
+		// re-permutes the epoch's responses as soon as they are ready,
+		// since the epoch reaches it whole.
 		t.Errorf("solo request finished in %v; shuffle delay missing", elapsed)
 	}
 
@@ -436,6 +436,7 @@ func TestUpstreamDownYieldsBadGateway(t *testing.T) {
 		Enclave:    st.uaEncl,
 		Next:       "http://nowhere",
 		HTTPClient: httpClient,
+		HopDialer:  st.net,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -446,6 +447,55 @@ func TestUpstreamDownYieldsBadGateway(t *testing.T) {
 	err = cl.Post(ctx, "u", "i", "")
 	if !errors.Is(err, client.ErrServiceStatus) {
 		t.Fatalf("err = %v, want service status error", err)
+	}
+}
+
+// TestNonFrameNextHopIsBreakerFailure points a UA at a next hop that
+// speaks only HTTP. Its non-frame answer is an ordinary exchange error:
+// the client sees an error status, every attempt is reported to the
+// breaker (which opens), and nothing is latched — each attempt dials the
+// peer again rather than switching to another transport.
+func TestNonFrameNextHopIsBreakerFailure(t *testing.T) {
+	st := newStack(t, stackOptions{useStub: true})
+	ctx := ctxT(t)
+
+	l, err := st.net.Listen("http-only")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdown := transport.Serve(l, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "ok")
+	}))
+	defer shutdown()
+
+	httpClient := transport.HTTPClient(st.net, 5*time.Second)
+	ua, err := proxy.New(proxy.Config{
+		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://http-only",
+		HTTPClient: httpClient, HopDialer: st.net,
+		Resilience: &resilience.Policy{
+			HopTimeout:       time.Second,
+			MaxAttempts:      1,
+			BreakerThreshold: 2,
+			BreakerCooldown:  time.Minute,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ua.Close()
+	st.serve(t, "ua-http-only", ua)
+
+	cl := client.New(proxy.Bundle(st.uaKeys, st.iaKeys), httpClient, "http://ua-http-only")
+	if err := cl.Post(ctx, "u", "i", ""); !errors.Is(err, client.ErrServiceStatus) {
+		t.Fatalf("err = %v, want a service status error", err)
+	}
+	// One epoch: the whole-frame send, then the one-entry rung — two
+	// failed exchanges, two reports, threshold reached.
+	if state := ua.Breaker().State(); state != resilience.StateOpen {
+		t.Errorf("breaker state = %v after two failed exchanges, want open", state)
+	}
+	if st := ua.Hopwire().Stats(); st.Dials != 2 || st.Exchanges != 0 {
+		t.Errorf("hop stats = %+v, want 2 dials (one per attempt, no latch) and 0 exchanges", st)
 	}
 }
 
@@ -487,14 +537,14 @@ func TestEPCHandleClearedOnMalformedLRSResponse(t *testing.T) {
 	}))
 	httpClient := transport.HTTPClient(st.net, 5*time.Second)
 	ia, err := proxy.New(proxy.Config{
-		Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs-garbage", HTTPClient: httpClient,
+		Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs-garbage", HTTPClient: httpClient, HopDialer: st.net,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.serve(t, "ia-garbage", ia)
 	ua, err := proxy.New(proxy.Config{
-		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia-garbage", HTTPClient: httpClient,
+		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia-garbage", HTTPClient: httpClient, HopDialer: st.net,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -530,7 +580,7 @@ func TestHangingUpstreamBoundedByHopTimeout(t *testing.T) {
 
 	httpClient := transport.HTTPClient(st.net, 30*time.Second)
 	ua, err := proxy.New(proxy.Config{
-		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://hung", HTTPClient: httpClient,
+		Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://hung", HTTPClient: httpClient, HopDialer: st.net,
 		Resilience: &resilience.Policy{
 			HopTimeout:  100 * time.Millisecond,
 			MaxAttempts: 2,

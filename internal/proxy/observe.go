@@ -215,58 +215,51 @@ func (l *Layer) RegisterMetrics(r *metrics.Registry, node string) {
 	l.rewireShuffler()
 }
 
-// registerBatchMetrics exposes the epoch-batched pipeline's families:
-// per-epoch forwards and the degradation ladder (UA batch mode and IA
-// /batch demultiplexing both feed the counters), plus the bounded IA→LRS
-// fan-out gauge when a semaphore is installed.
+// registerBatchMetrics exposes the hop pipeline's families: per-epoch
+// forwards and the degradation ladder (UA epochs and IA demultiplexing
+// both feed the counters), the hopwire transport counters, plus the
+// bounded IA→LRS fan-out gauge when a semaphore is installed.
 func (l *Layer) registerBatchMetrics(r *metrics.Registry, role, node string) {
-	if l.jobs != nil || l.cfg.Role == RoleIA {
-		counter := func(name, help string, read func(BatchStats) uint64) {
-			r.CounterFuncVec(name, help, "layer", "node").
-				With(func() float64 { return float64(read(l.BatchStats())) }, role, node)
-		}
-		counter("pprox_proxy_batch_forwards_total",
-			"Batch envelopes processed (UA: epochs forwarded; IA: envelopes demultiplexed).",
-			func(s BatchStats) uint64 { return s.Batches })
-		counter("pprox_proxy_batch_messages_total",
-			"Messages carried inside batch envelopes.",
-			func(s BatchStats) uint64 { return s.Messages })
-		counter("pprox_proxy_batch_retries_total",
-			"Whole-envelope batch sends beyond the first attempt.",
-			func(s BatchStats) uint64 { return s.Retries })
-		counter("pprox_proxy_batch_splits_total",
-			"Sub-envelope sends after splitting a failed batch.",
-			func(s BatchStats) uint64 { return s.Splits })
-		counter("pprox_proxy_batch_degraded_total",
-			"Messages degraded from batch to per-message forwarding.",
-			func(s BatchStats) uint64 { return s.Degraded })
-		counter("pprox_proxy_batch_epc_fallbacks_total",
-			"Batched crossings that fell back to per-message ECALLs (EPC pressure).",
-			func(s BatchStats) uint64 { return s.EPCFallbacks })
+	counter := func(name, help string, read func(BatchStats) uint64) {
+		r.CounterFuncVec(name, help, "layer", "node").
+			With(func() float64 { return float64(read(l.BatchStats())) }, role, node)
 	}
+	counter("pprox_proxy_batch_forwards_total",
+		"Batch frames processed (UA: epochs forwarded; IA: frames demultiplexed).",
+		func(s BatchStats) uint64 { return s.Batches })
+	counter("pprox_proxy_batch_messages_total",
+		"Messages carried inside batch frames.",
+		func(s BatchStats) uint64 { return s.Messages })
+	counter("pprox_proxy_batch_retries_total",
+		"Whole-frame batch sends beyond the first attempt.",
+		func(s BatchStats) uint64 { return s.Retries })
+	counter("pprox_proxy_batch_splits_total",
+		"Sub-frame sends after splitting a failed batch.",
+		func(s BatchStats) uint64 { return s.Splits })
+	counter("pprox_proxy_batch_degraded_total",
+		"Messages degraded from a batch to a one-entry frame.",
+		func(s BatchStats) uint64 { return s.Degraded })
+	counter("pprox_proxy_batch_epc_fallbacks_total",
+		"Batched crossings that fell back to per-message ECALLs (EPC pressure).",
+		func(s BatchStats) uint64 { return s.EPCFallbacks })
 	if l.lrsSem != nil {
 		r.GaugeVec("pprox_lrs_inflight",
 			"In-flight IA→LRS requests (bounded by -lrs-concurrency).", "layer", "node").
 			With(func() float64 { return float64(l.LRSInFlight()) }, role, node)
 	}
-	if l.hop != nil {
-		counter := func(name, help string, read func(hopwire.Stats) uint64) {
-			r.CounterFuncVec(name, help, "layer", "node").
-				With(func() float64 { return float64(read(l.hop.Stats())) }, role, node)
-		}
-		counter("pprox_hopwire_exchanges_total",
-			"Frame exchanges completed on the binary hop transport.",
-			func(s hopwire.Stats) uint64 { return s.Exchanges })
-		counter("pprox_hopwire_dials_total",
-			"Hopwire connections established.",
-			func(s hopwire.Stats) uint64 { return s.Dials })
-		counter("pprox_hopwire_conn_reuses_total",
-			"Frame exchanges that rode a pooled connection.",
-			func(s hopwire.Stats) uint64 { return s.Reuses })
-		counter("pprox_hopwire_fallbacks_total",
-			"Exchanges that fell back to HTTP (peer not speaking frames).",
-			func(s hopwire.Stats) uint64 { return s.Fallbacks })
+	hop := func(name, help string, read func(hopwire.Stats) uint64) {
+		r.CounterFuncVec(name, help, "layer", "node").
+			With(func() float64 { return float64(read(l.hop.Stats())) }, role, node)
 	}
+	hop("pprox_hopwire_exchanges_total",
+		"Frame exchanges completed on the binary hop transport.",
+		func(s hopwire.Stats) uint64 { return s.Exchanges })
+	hop("pprox_hopwire_dials_total",
+		"Hopwire connections established.",
+		func(s hopwire.Stats) uint64 { return s.Dials })
+	hop("pprox_hopwire_conn_reuses_total",
+		"Frame exchanges that rode a pooled connection.",
+		func(s hopwire.Stats) uint64 { return s.Reuses })
 }
 
 // registerCacheMetrics exposes the pprox_reccache_* families. Every value

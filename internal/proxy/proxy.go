@@ -18,14 +18,12 @@
 package proxy
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -70,7 +68,9 @@ type Config struct {
 	// Next is the base URL of the next hop: the IA layer's balancer for
 	// a UA instance, the LRS for an IA instance.
 	Next string
-	// HTTPClient carries traffic to the next hop.
+	// HTTPClient carries the next hop's /healthz probes (breaker
+	// readmission and the layer's own health check); traffic rides
+	// HopDialer.
 	HTTPClient *http.Client
 	// ShuffleSize is S; values ≤ 1 disable shuffling (§4.3). The UA
 	// layer shuffles requests, the IA layer shuffles responses.
@@ -87,37 +87,25 @@ type Config struct {
 	PassThrough bool
 	// Resilience bounds this layer's fault handling toward the next hop:
 	// per-attempt deadline, retries, and the circuit breaker probing the
-	// hop's /healthz. Nil means a single attempt, bounded only by the
-	// HTTP client, with no breaker. Retries on the UA layer are
-	// privacy-aware: each retry re-randomizes the hop envelope (when a
-	// link key is provisioned) and re-enters the shuffler.
+	// hop's /healthz. Nil means a single attempt with no breaker.
+	// Retries on the UA layer are privacy-aware: each retry
+	// re-randomizes the hop envelopes (when a link key is provisioned)
+	// and re-sends the epoch the shuffler already released.
 	Resilience *resilience.Policy
 	// RecCache is the in-enclave recommendation cache (IA role only).
 	// It must be the same cache passed to NewIAEnclave via
 	// IAOptions.Cache: the layer drives coalescing and epoch-granular
 	// stat publication on it, the enclave does lookups and fills.
 	RecCache *reccache.Cache
-	// Batch selects the epoch-batched pipeline on a UA layer (DESIGN.md
-	// §4f): requests join shuffle epochs without blocking a goroutine
-	// each, every epoch is processed in one batch ECALL, and leaves as
-	// ONE batch envelope POSTed to the IA's /batch route. Requires the
-	// enclave path and ShuffleSize > 1 (epochs are what is batched). An
-	// IA layer ignores the flag — it always serves /batch when it has an
-	// enclave.
-	Batch bool
 	// LRSConcurrency bounds the IA→LRS fan-out (IA role only): at most
-	// this many LRS requests in flight per layer instance, covering both
-	// demultiplexed batch epochs and the per-message path. 0 selects
-	// DefaultLRSConcurrency; negative disables the bound.
+	// this many LRS requests in flight per layer instance, shared by
+	// every demultiplexed epoch. 0 selects DefaultLRSConcurrency;
+	// negative disables the bound.
 	LRSConcurrency int
-	// Hopwire selects the persistent binary-framed hop transport toward
-	// Next (DESIGN.md §4h): batch envelopes and per-message forwards ride
-	// pooled frame connections, falling back to HTTP while the peer does
-	// not speak the protocol. Requires HopDialer.
-	Hopwire bool
-	// HopDialer dials hopwire connections — the memnet network, a
-	// cluster balancer, or a *net.Dialer — matching how HTTPClient
-	// reaches Next.
+	// HopDialer dials the hopwire frame connections every message to
+	// Next rides (DESIGN.md §4h) — the memnet network, a cluster
+	// balancer, or a *net.Dialer, matching how HTTPClient reaches Next.
+	// Required.
 	HopDialer transport.Dialer
 }
 
@@ -133,11 +121,11 @@ type Layer struct {
 	workers  chan struct{}
 	policy   resilience.Policy
 	breaker  *resilience.Breaker
-	// jobs runs one job per shuffle epoch in batch mode (UA role).
+	// jobs runs one job per shuffle epoch (UA role with S > 1).
 	jobs *eventloop.JobPool
 	// lrsSem bounds the IA→LRS fan-out (IA role; nil = unbounded).
 	lrsSem *resilience.Semaphore
-	// hop is the binary frame transport toward Next (nil = HTTP only).
+	// hop is the binary frame transport toward Next.
 	hop *hopwire.Client
 	// hopEpoch mints batch-frame epoch ids for this instance's envelopes.
 	hopEpoch atomic.Uint64
@@ -187,6 +175,9 @@ func New(cfg Config) (*Layer, error) {
 	if cfg.Next == "" {
 		return nil, errors.New("proxy: next hop required")
 	}
+	if cfg.HopDialer == nil {
+		return nil, errors.New("proxy: HopDialer required")
+	}
 	if cfg.HTTPClient == nil {
 		// Never http.DefaultClient: it has no timeout, so one hung next
 		// hop would pin request goroutines forever.
@@ -235,23 +226,12 @@ func New(cfg Config) (*Layer, error) {
 		// negative LRSConcurrency selects.
 		l.lrsSem = resilience.NewSemaphore(n)
 	}
-	if cfg.Hopwire {
-		if cfg.HopDialer == nil {
-			return nil, errors.New("proxy: hopwire requires HopDialer")
-		}
-		hw, err := hopwire.NewClient(cfg.HopDialer, cfg.Next)
-		if err != nil {
-			return nil, fmt.Errorf("proxy: %w", err)
-		}
-		l.hop = hw
+	hw, err := hopwire.NewClient(cfg.HopDialer, cfg.Next)
+	if err != nil {
+		return nil, fmt.Errorf("proxy: %w", err)
 	}
-	if cfg.Batch && cfg.Role == RoleUA {
-		if cfg.PassThrough {
-			return nil, errors.New("proxy: batch mode requires the enclave path")
-		}
-		if l.shuffler == nil {
-			return nil, errors.New("proxy: batch mode requires ShuffleSize > 1")
-		}
+	l.hop = hw
+	if cfg.Role == RoleUA && l.shuffler != nil {
 		l.jobs = eventloop.NewJobPool(cfg.Workers)
 		l.shuffler.SetBatchSink(func(vals []any) {
 			// Runs under the shuffler lock: only hand the epoch to the
@@ -265,8 +245,8 @@ func New(cfg Config) (*Layer, error) {
 	return l, nil
 }
 
-// defaultClientTimeout bounds next-hop requests when no HTTP client is
-// injected.
+// defaultClientTimeout bounds next-hop health probes when no HTTP client
+// is injected.
 const defaultClientTimeout = 30 * time.Second
 
 // Close releases buffered messages, drains in-flight batch epochs, and
@@ -287,8 +267,8 @@ func (l *Layer) Close() {
 	l.tracer.Load().AdvanceEpoch()
 }
 
-// Hopwire exposes the layer's frame transport client (nil when disabled),
-// for metrics and tests.
+// Hopwire exposes the layer's frame transport client, for metrics and
+// tests.
 func (l *Layer) Hopwire() *hopwire.Client { return l.hop }
 
 // Stats returns served and failed request counts.
@@ -309,7 +289,7 @@ func (l *Layer) RetryStats() (retries, failFast uint64) {
 // BatchStats reports the epoch-batched pipeline's counters: epochs
 // forwarded as one envelope, messages inside them, whole-envelope retry
 // sends, sub-envelope sends after splitting, messages degraded to
-// per-message forwarding, and batch ECALLs that fell back to per-message
+// one-entry envelopes, and batch ECALLs that fell back to per-message
 // crossings on EPC exhaustion.
 type BatchStats struct {
 	Batches      uint64
@@ -320,8 +300,7 @@ type BatchStats struct {
 	EPCFallbacks uint64
 }
 
-// BatchStats returns the layer's batch-pipeline counters (all zero when
-// batch mode is off).
+// BatchStats returns the layer's batch-pipeline counters.
 func (l *Layer) BatchStats() BatchStats {
 	return BatchStats{
 		Batches:      l.batches.Load(),
@@ -349,37 +328,44 @@ func (l *Layer) Enclave() *enclave.Enclave { return l.cfg.Enclave }
 // for rotation flush hooks, audit checks, and metrics.
 func (l *Layer) RecCache() *reccache.Cache { return l.cfg.RecCache }
 
-// ServeHTTP implements the layer's REST endpoint.
+// ServeHTTP implements the layer's REST endpoint: a UA serves the
+// client-facing /events and /queries, an IA the /batch route its UAs'
+// epoch frames arrive on.
 func (l *Layer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	isApp := r.Method == http.MethodPost &&
-		(r.URL.Path == message.EventsPath || r.URL.Path == message.QueriesPath ||
-			(r.URL.Path == message.BatchPath && l.cfg.Role == RoleIA && !l.cfg.PassThrough))
-	if isApp {
-		if l.refusing.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		if l.draining.Load() {
-			// Soft drain: keep serving, but evict this connection from
-			// keep-alive pools so no new request rides it back here.
-			w.Header().Set("Connection", "close")
-		}
-		l.inflight.Add(1)
-		defer l.inflight.Add(-1)
-	}
-	switch {
-	case r.Method == http.MethodPost && (r.URL.Path == message.EventsPath || r.URL.Path == message.QueriesPath):
-		l.handle(w, r)
-	case r.Method == http.MethodPost && r.URL.Path == message.BatchPath &&
-		l.cfg.Role == RoleIA && !l.cfg.PassThrough:
-		l.handleBatch(w, r)
-	case r.Method == http.MethodGet && r.URL.Path == message.HealthPath:
+	if r.Method == http.MethodGet && r.URL.Path == message.HealthPath {
 		fmt.Fprint(w, "ok")
-	default:
+		return
+	}
+	isApp := r.Method == http.MethodPost
+	if l.cfg.Role == RoleUA {
+		isApp = isApp && (r.URL.Path == message.EventsPath || r.URL.Path == message.QueriesPath)
+	} else {
+		isApp = isApp && r.URL.Path == message.BatchPath
+	}
+	if !isApp {
 		http.NotFound(w, r)
+		return
+	}
+	if l.refusing.Load() {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+		return
+	}
+	if l.draining.Load() {
+		// Soft drain: keep serving, but evict this connection from
+		// keep-alive pools so no new request rides it back here.
+		w.Header().Set("Connection", "close")
+	}
+	l.inflight.Add(1)
+	defer l.inflight.Add(-1)
+	if l.cfg.Role == RoleUA {
+		l.handle(w, r)
+	} else {
+		l.handleBatch(w, r)
 	}
 }
 
+// handle serves one client request on a UA: it joins the current shuffle
+// epoch and answers once the epoch's frame exchange resolves it.
 func (l *Layer) handle(w http.ResponseWriter, r *http.Request) {
 	// The serve span wraps the whole hop, success or failure: it is the
 	// end-to-end histogram the latency SLO evaluates, and — like every
@@ -400,15 +386,7 @@ func (l *Layer) handle(w http.ResponseWriter, r *http.Request) {
 		l.fail(w, http.StatusBadRequest, "read request")
 		return
 	}
-	isGet := r.URL.Path == message.QueriesPath
-
-	var status int
-	var respBody []byte
-	if l.cfg.Role == RoleUA {
-		status, respBody, err = l.handleUA(r.Context(), r.URL.Path, body, isGet)
-	} else {
-		status, respBody, err = l.handleIA(r.Context(), r.URL.Path, body, isGet)
-	}
+	status, respBody, err := l.handleUA(r.Context(), body, r.URL.Path == message.QueriesPath)
 	if err != nil {
 		l.fail(w, statusFor(err), failText(err))
 		l.logWarn("request failed",
@@ -484,51 +462,6 @@ func failClass(err error) string {
 	}
 }
 
-// handleUA implements the UA node pipeline: pseudonymize the user
-// identifier in the enclave, shuffle the request batch, forward to the IA
-// layer, and relay the (already client-encrypted) response untouched.
-func (l *Layer) handleUA(ctx context.Context, path string, body []byte, isGet bool) (int, []byte, error) {
-	if l.jobs != nil {
-		return l.handleUABatch(ctx, body, isGet)
-	}
-	out := body
-	if !l.cfg.PassThrough {
-		ecall := ecallUAPost
-		if isGet {
-			ecall = ecallUAGet
-		}
-		var err error
-		out, err = l.process(StageEcallDecrypt, ecall, out)
-		if err != nil {
-			return 0, nil, err
-		}
-	}
-	// Request shuffling happens between the UA and IA layers (§4.3).
-	if err := l.shuffleWait(ctx); err != nil {
-		return 0, nil, err
-	}
-	return l.forwardResilient(ctx, path, out, l.uaRetryPrep)
-}
-
-// uaRetryPrep re-establishes a retry's unlinkability before it leaves the
-// UA again: the hop envelope is re-encrypted with a fresh IV (so the
-// retried bytes are unrelated to the failed attempt's), and the request
-// re-enters the shuffler so it departs inside a fresh batch instead of
-// alone right after the failure it repeats.
-func (l *Layer) uaRetryPrep(ctx context.Context, body []byte) ([]byte, error) {
-	if !l.cfg.PassThrough && isLinkWrapped(body) {
-		out, err := l.process(StageEcallRewrap, ecallLinkRewrap, body)
-		if err != nil {
-			return nil, err
-		}
-		body = out
-	}
-	if err := l.shuffleWait(ctx); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
 // isLinkWrapped is the host-side envelope probe. The *presence* of an
 // envelope is plain wire format — every message on the link has one when a
 // link key is deployed — only its content is protected.
@@ -537,172 +470,11 @@ func isLinkWrapped(body []byte) bool {
 	return json.Unmarshal(body, &env) == nil && env.Link != ""
 }
 
-// shuffleWait blocks in the shuffler, timing the buffered delay as the
-// shuffle_wait stage.
-func (l *Layer) shuffleWait(ctx context.Context) error {
-	if l.shuffler == nil {
-		return nil
-	}
-	span := l.tracer.Load().Start(StageShuffleWait)
-	start := time.Now()
-	_, err := l.shuffler.Wait(ctx)
-	l.observeStage(StageShuffleWait, start)
-	span.End()
-	return err
-}
-
-// handleIA implements the IA node pipeline: pseudonymize the item (post)
-// or park the temporary key (get) in the enclave, forward to the LRS,
-// transform the response in the enclave, and shuffle the response batch
-// before it travels back toward the UA layer.
-func (l *Layer) handleIA(ctx context.Context, path string, body []byte, isGet bool) (int, []byte, error) {
-	if isGet && l.cfg.RecCache != nil && !l.cfg.PassThrough {
-		return l.handleIAGetCached(ctx, path, body)
-	}
-	out := body
-	var handle string
-	if !l.cfg.PassThrough {
-		if isGet {
-			handle = strconv.FormatUint(l.nextHandle.Add(1), 36)
-			framed, err := message.Marshal(iaGetCall{Handle: handle, Body: body})
-			if err != nil {
-				return 0, nil, err
-			}
-			out, err = l.process(StageEcallDecrypt, ecallIAGet, framed)
-			if err != nil {
-				return 0, nil, err
-			}
-		} else {
-			var err error
-			out, err = l.process(StageEcallDecrypt, ecallIAPost, out)
-			if err != nil {
-				return 0, nil, err
-			}
-		}
-	}
-
-	// IA→LRS retries need no rewrap/reshuffle prep: the request leaving
-	// the IA is the pseudonymized cleartext the LRS expects, and the
-	// shuffle the IA owns is on the *response* path below.
-	status, lrsBody, err := l.forwardLRS(ctx, path, out)
-	if err != nil {
-		l.dropHandle(handle)
-		return 0, nil, err
-	}
-
-	respBody := lrsBody
-	if !l.cfg.PassThrough && isGet {
-		if status == http.StatusOK {
-			framed, err := message.Marshal(iaGetCall{Handle: handle, Body: lrsBody})
-			if err != nil {
-				l.dropHandle(handle)
-				return 0, nil, err
-			}
-			respBody, err = l.process(StageEcallReencrypt, ecallIAGetResp, framed)
-			if err != nil {
-				// The re-encrypt ECALL consumes the parked key with
-				// KV.Take only on success; clear it here or every
-				// malformed LRS response leaks one EPC entry.
-				l.dropHandle(handle)
-				return 0, nil, err
-			}
-		} else {
-			l.dropHandle(handle)
-		}
-	}
-
-	// Response shuffling happens between the IA and UA layers (§4.3).
-	if err := l.shuffleWait(ctx); err != nil {
-		return 0, nil, err
-	}
-	return status, respBody, nil
-}
-
 // fetchResult carries a coalesced LRS round trip's outcome between the
 // leader that ran it and the followers sharing it.
 type fetchResult struct {
 	status int
 	body   []byte
-}
-
-// handleIAGetCached is the IA get pipeline with the recommendation cache
-// enabled. The ia/get ECALL decides hit or miss behind the enclave
-// boundary; a hit comes back already sealed under the client's k_u and
-// skips the LRS hop, a miss returns the LRS request plus the coalescing
-// key so concurrent misses for the same pseudonym share one fetch. Both
-// outcomes re-enter the response shuffler, so a network observer sees
-// hits and misses leave inside the same epoch batches — the 1/S bound is
-// untouched, and the only externally visible difference is epoch-level
-// throughput.
-func (l *Layer) handleIAGetCached(ctx context.Context, path string, body []byte) (int, []byte, error) {
-	handle := strconv.FormatUint(l.nextHandle.Add(1), 36)
-	framed, err := message.Marshal(iaGetCall{Handle: handle, Body: body})
-	if err != nil {
-		return 0, nil, err
-	}
-	out, err := l.process(StageEcallDecrypt, ecallIAGet, framed)
-	if err != nil {
-		return 0, nil, err
-	}
-	var res iaGetResult
-	if err := message.Unmarshal(out, &res); err != nil {
-		l.dropHandle(handle)
-		return 0, nil, fmt.Errorf("%w: %v", errEnclave, err)
-	}
-
-	if res.Hit {
-		if err := l.shuffleWait(ctx); err != nil {
-			return 0, nil, err
-		}
-		return http.StatusOK, res.Body, nil
-	}
-
-	v, shared, err := l.cfg.RecCache.Do(ctx, res.Key, func() (any, error) {
-		status, lrsBody, err := l.forwardLRS(ctx, path, res.Body)
-		if err != nil {
-			return nil, err
-		}
-		return fetchResult{status, lrsBody}, nil
-	})
-	if err != nil && shared && ctx.Err() == nil {
-		// The leader's failure was under *its* deadline and breaker
-		// draw; this follower is still alive, so give it one fetch of
-		// its own rather than inheriting the error.
-		var status int
-		var lrsBody []byte
-		if status, lrsBody, err = l.forwardLRS(ctx, path, res.Body); err == nil {
-			v = fetchResult{status, lrsBody}
-		}
-	}
-	if err != nil {
-		l.dropHandle(handle)
-		return 0, nil, err
-	}
-	fr := v.(fetchResult)
-	if fr.status != http.StatusOK {
-		l.dropHandle(handle)
-		if err := l.shuffleWait(ctx); err != nil {
-			return 0, nil, err
-		}
-		return fr.status, fr.body, nil
-	}
-
-	// Only the coalescing leader fills the cache; followers just seal
-	// the shared body under their own parked k_u.
-	framed, err = message.Marshal(iaGetCall{Handle: handle, Body: fr.body, Fill: !shared})
-	if err != nil {
-		l.dropHandle(handle)
-		return 0, nil, err
-	}
-	respBody, err := l.process(StageEcallReencrypt, ecallIAGetResp, framed)
-	if err != nil {
-		l.dropHandle(handle)
-		return 0, nil, err
-	}
-	if err := l.shuffleWait(ctx); err != nil {
-		return 0, nil, err
-	}
-	return fr.status, respBody, nil
 }
 
 // dropHandle clears a parked temporary key when the request it belongs to
@@ -731,24 +503,29 @@ func (l *Layer) process(stage, ecall string, in []byte) ([]byte, error) {
 }
 
 // forwardLRS is the IA→LRS hop: forwardResilient under the layer's
-// fan-out semaphore, so a demultiplexed epoch (or a burst of per-message
-// misses) holds at most LRSConcurrency requests against the legacy API
-// at once instead of one goroutine each, unbounded.
+// fan-out semaphore, so a demultiplexed epoch holds at most
+// LRSConcurrency requests against the legacy API at once instead of one
+// goroutine each, unbounded. It needs no retry prep: the request leaving
+// the IA is the pseudonymized cleartext the LRS expects.
 func (l *Layer) forwardLRS(ctx context.Context, path string, body []byte) (int, []byte, error) {
 	if err := l.lrsSem.Acquire(ctx); err != nil {
 		return 0, nil, err
 	}
 	defer l.lrsSem.Release()
-	return l.forwardResilient(ctx, path, body, nil)
+	return l.forwardResilient(ctx, body, nil, func(actx context.Context, b []byte) (int, []byte, error) {
+		return l.forward(actx, path, b)
+	})
 }
 
-// forwardResilient drives forward attempts under the layer's resilience
-// policy: breaker gating, jittered backoff, a per-attempt deadline, and a
-// per-retry prep callback that re-establishes the privacy properties of
-// the attempt before it leaves again (UA layer only; nil for the IA→LRS
-// hop). The breaker is fed transport outcomes only — an HTTP error status
-// still proves the hop alive.
-func (l *Layer) forwardResilient(ctx context.Context, path string, body []byte, prep func(context.Context, []byte) ([]byte, error)) (int, []byte, error) {
+// forwardResilient drives attempts of one exchange under the layer's
+// resilience policy: breaker gating, jittered backoff, a per-attempt
+// deadline, and a per-retry prep callback that re-establishes the
+// privacy properties of the attempt before it leaves again (the UA's
+// hop-envelope rewrap; nil for the IA→LRS hop). The breaker is fed
+// transport outcomes only — an error status still proves the hop alive.
+func (l *Layer) forwardResilient(ctx context.Context, body []byte,
+	prep func([]byte) ([]byte, error),
+	send func(context.Context, []byte) (int, []byte, error)) (int, []byte, error) {
 	pol := l.policy
 	attempts := pol.MaxAttempts
 	if attempts < 1 {
@@ -770,13 +547,13 @@ func (l *Layer) forwardResilient(ctx context.Context, path string, body []byte, 
 			l.retries.Add(1)
 			if prep != nil {
 				var err error
-				if body, err = prep(ctx, body); err != nil {
+				if body, err = prep(body); err != nil {
 					return 0, nil, err
 				}
 			}
 		}
 		actx, cancel := pol.AttemptContext(ctx)
-		status, respBody, err := l.forward(actx, path, body)
+		status, respBody, err := send(actx, body)
 		cancel()
 		if err != nil {
 			if ctx.Err() != nil {
@@ -798,12 +575,11 @@ func (l *Layer) forwardResilient(ctx context.Context, path string, body []byte, 
 	return 0, nil, lastErr
 }
 
-// forward relays a transformed request to the next hop and returns its
-// status and body. The whole round trip is the forward stage. With
-// hopwire enabled the exchange rides a pooled frame connection; only a
-// peer that provably does not speak the protocol (ErrUnsupported, latched
-// with a cooldown) drops the hop back to HTTP — transport faults surface
-// to the breaker and retry ladder exactly like HTTP faults.
+// forward relays one frame exchange to the next hop over a pooled
+// hopwire connection and returns its status and body. The whole round
+// trip is the forward stage. Every failure — including a peer that
+// answers in anything but frames — is a transport fault for the breaker
+// and the retry ladder.
 func (l *Layer) forward(ctx context.Context, path string, body []byte) (int, []byte, error) {
 	span := l.tracer.Load().Start(StageForward)
 	start := time.Now()
@@ -811,30 +587,11 @@ func (l *Layer) forward(ctx context.Context, path string, body []byte) (int, []b
 		l.observeStage(StageForward, start)
 		span.End()
 	}()
-	if l.hop != nil {
-		status, respBody, err := l.hop.RoundTrip(ctx, path, body)
-		if err == nil {
-			return status, respBody, nil
-		}
-		if !errors.Is(err, hopwire.ErrUnsupported) {
-			return 0, nil, fmt.Errorf("proxy: forward to %s: %w", l.cfg.Next, err)
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, l.cfg.Next+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, fmt.Errorf("proxy: build forward request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := l.cfg.HTTPClient.Do(req)
+	status, respBody, err := l.hop.RoundTrip(ctx, path, body)
 	if err != nil {
 		return 0, nil, fmt.Errorf("proxy: forward to %s: %w", l.cfg.Next, err)
 	}
-	defer resp.Body.Close()
-	respBody, err := readBody(resp.Body, maxBody)
-	if err != nil {
-		return 0, nil, fmt.Errorf("proxy: read upstream response: %w", err)
-	}
-	return resp.StatusCode, respBody, nil
+	return status, respBody, nil
 }
 
 // maxBody bounds message sizes; PProx traffic is constant-size and small.

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"context"
 	crand "crypto/rand"
 	"errors"
 	mrand "math/rand/v2"
@@ -16,7 +15,7 @@ import (
 // requests").
 var ErrTableFull = errors.New("proxy: pending-request table full")
 
-// ErrShufflerClosed reports a Wait or Enqueue after Close: the shuffler is
+// ErrShufflerClosed reports an Enqueue after Close: the shuffler is
 // terminal on shutdown, so late arrivals fail fast instead of re-arming
 // the flush timer and stranding themselves in a buffer nobody will flush.
 var ErrShufflerClosed = errors.New("proxy: shuffler closed")
@@ -27,15 +26,15 @@ var ErrShufflerClosed = errors.New("proxy: shuffler closed")
 // wire cannot map an individual incoming message to the corresponding
 // outgoing one with probability better than 1/S.
 //
-// A Shuffler with size ≤ 1 is a no-op (every message is released
-// immediately), which is the "shuffling off" configuration (m1–m4).
+// Shuffling off (S ≤ 1, configurations m1–m4) means no Shuffler at all:
+// the layer sends each request as its own one-message epoch.
 type Shuffler struct {
 	size    int
 	timeout time.Duration
 	table   int // capacity of the pending table T
 
 	mu      sync.Mutex
-	pending []*pendingMsg
+	pending []any
 	timer   *time.Timer
 	rng     *mrand.Rand
 	flushes uint64
@@ -45,8 +44,8 @@ type Shuffler struct {
 	// Observability hooks (SetHooks); both run under the shuffler lock.
 	onEnqueue func(depth int)
 	onFlush   func(batch int)
-	// sink receives whole permuted epochs in batch-release mode
-	// (SetBatchSink); it runs under the shuffler lock.
+	// sink receives whole permuted epochs (SetBatchSink); it runs under
+	// the shuffler lock.
 	sink func(vals []any)
 }
 
@@ -106,11 +105,10 @@ func (s *Shuffler) SetHooks(onEnqueue func(depth int), onFlush func(batch int)) 
 	s.mu.Unlock()
 }
 
-// SetBatchSink installs the batch-release consumer: every flush hands the
-// epoch's enqueued values (Enqueue), in the epoch's permuted order, to fn
-// in one call instead of waking one goroutine per message. The sink runs
-// under the shuffler lock on the flush path, so it must be cheap and
-// non-blocking — submitting the epoch to a job pool qualifies, processing
+// SetBatchSink installs the epoch consumer: every flush hands the epoch's
+// enqueued values (Enqueue), in the epoch's permuted order, to fn in one
+// call. The sink runs under the shuffler lock on the flush path, so it
+// must be cheap and non-blocking — submitting the epoch to a job pool qualifies, processing
 // it inline does not. Safe on a nil shuffler.
 func (s *Shuffler) SetBatchSink(fn func(vals []any)) {
 	if s == nil {
@@ -121,46 +119,14 @@ func (s *Shuffler) SetBatchSink(fn func(vals []any)) {
 	s.mu.Unlock()
 }
 
-// Wait blocks the calling message until the shuffler releases it as part
-// of a randomized batch, and returns the message's position in the
-// batch's randomized release order (0 when shuffling is disabled). It
-// returns ErrTableFull when the pending table is at capacity,
-// ErrShufflerClosed after Close, or the context error if the caller gives
-// up first.
-func (s *Shuffler) Wait(ctx context.Context) (int, error) {
-	if s == nil || s.size <= 1 {
-		return 0, nil
-	}
-
-	release := &pendingMsg{ch: make(chan struct{})}
-
-	s.mu.Lock()
-	if err := s.admitLocked(release); err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	s.mu.Unlock()
-
-	select {
-	case <-release.ch:
-		return release.pos, nil
-	case <-ctx.Done():
-		// The slot stays in the buffer; its release is a no-op for a
-		// departed caller but still advances the flush threshold,
-		// matching a real proxy where a timed-out client's socket is
-		// still drained.
-		return 0, ctx.Err()
-	}
-}
-
-// Enqueue admits one message into the current epoch in batch-release
-// mode: instead of blocking a goroutine, the value travels with the epoch
-// and is handed to the batch sink, in permuted order, when the epoch
-// flushes. The same shedding (ErrTableFull) and shutdown
-// (ErrShufflerClosed) rules as Wait apply.
+// Enqueue admits one message into the current epoch: instead of blocking
+// a goroutine, the value travels with the epoch and is handed to the
+// batch sink, in permuted order, when the epoch flushes. It returns
+// ErrTableFull when the pending table is at capacity and
+// ErrShufflerClosed after Close.
 func (s *Shuffler) Enqueue(v any) error {
 	if s == nil || s.size <= 1 {
-		return errors.New("proxy: batch enqueue requires a shuffler with S > 1")
+		return errors.New("proxy: enqueue requires a shuffler with S > 1")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -168,22 +134,13 @@ func (s *Shuffler) Enqueue(v any) error {
 		return ErrShufflerClosed
 	}
 	if s.sink == nil {
-		return errors.New("proxy: batch enqueue without a batch sink")
-	}
-	return s.admitLocked(&pendingMsg{v: v})
-}
-
-// admitLocked appends one message to the pending table and arms the
-// flush threshold/timer, enforcing capacity and shutdown.
-func (s *Shuffler) admitLocked(msg *pendingMsg) error {
-	if s.closed {
-		return ErrShufflerClosed
+		return errors.New("proxy: enqueue without a batch sink")
 	}
 	if len(s.pending) >= s.table {
 		s.sheds++
 		return ErrTableFull
 	}
-	s.pending = append(s.pending, msg)
+	s.pending = append(s.pending, v)
 	if s.onEnqueue != nil {
 		s.onEnqueue(len(s.pending))
 	}
@@ -193,14 +150,6 @@ func (s *Shuffler) admitLocked(msg *pendingMsg) error {
 		s.timer = time.AfterFunc(s.timeout, s.onTimer)
 	}
 	return nil
-}
-
-// pendingMsg is one buffered message awaiting release: a blocked waiter
-// (Wait, ch non-nil) or a batch-mode value (Enqueue, v non-nil).
-type pendingMsg struct {
-	ch  chan struct{}
-	pos int
-	v   any
 }
 
 func (s *Shuffler) onTimer() {
@@ -213,10 +162,8 @@ func (s *Shuffler) onTimer() {
 }
 
 // flushLocked releases every pending message in uniformly random order:
-// each waiter learns its randomized position and is unblocked in that
-// order, and batch-mode values are handed to the sink as one epoch in
-// that same order — so the wire order downstream follows the permutation
-// either way.
+// the values are handed to the sink as one epoch in that order, so the
+// wire order downstream follows the permutation.
 func (s *Shuffler) flushLocked() {
 	batch := s.pending
 	s.pending = nil
@@ -225,17 +172,8 @@ func (s *Shuffler) flushLocked() {
 		s.timer = nil
 	}
 	s.rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-	var vals []any
-	for pos, msg := range batch {
-		if msg.ch != nil {
-			msg.pos = pos
-			close(msg.ch)
-			continue
-		}
-		vals = append(vals, msg.v)
-	}
-	if len(vals) > 0 && s.sink != nil {
-		s.sink(vals)
+	if len(batch) > 0 && s.sink != nil {
+		s.sink(batch)
 	}
 	s.flushes++
 	if s.onFlush != nil {
@@ -246,9 +184,9 @@ func (s *Shuffler) flushLocked() {
 // ReleaseBatch accounts one whole inbound epoch of n messages — a batch
 // envelope demultiplexed on the IA — as a shuffle flush and returns the
 // permutation its releases must follow. The permutation draws on the same
-// crypto-seeded stream as Wait-mode flushes, and the flush hooks fire so
-// the auditor, tracer, and cache see batch epochs exactly like waiter
-// epochs. A nil shuffler (or S ≤ 1) returns the identity permutation and
+// crypto-seeded stream as Enqueue-mode flushes, and the flush hooks fire
+// so the auditor, tracer, and cache see inbound epochs exactly like
+// locally buffered ones. A nil shuffler (or S ≤ 1) returns the identity permutation and
 // touches nothing.
 func (s *Shuffler) ReleaseBatch(n int) ([]int, error) {
 	if n < 0 {
@@ -300,7 +238,7 @@ func (s *Shuffler) Pending() int {
 }
 
 // Close releases any buffered messages immediately and makes the
-// shuffler terminal: every later Wait/Enqueue/ReleaseBatch fails fast
+// shuffler terminal: every later Enqueue/ReleaseBatch fails fast
 // with ErrShufflerClosed instead of re-arming the flush timer and
 // stranding itself during shutdown. Closing twice is a no-op.
 func (s *Shuffler) Close() {

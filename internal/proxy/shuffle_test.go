@@ -8,17 +8,69 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pprox/internal/transport"
 )
 
+// waiter is a blocked request as the tests model it: enqueued into an
+// epoch, resolved with its position in the permuted release order.
+type waiter struct{ pos chan int }
+
+// newWaitShuffler builds a shuffler whose sink resolves every released
+// waiter with its release position.
+func newWaitShuffler(size int, timeout time.Duration, table int) *Shuffler {
+	return withWaitSink(NewShuffler(size, timeout, table))
+}
+
+func withWaitSink(sh *Shuffler) *Shuffler {
+	sh.SetBatchSink(func(vals []any) {
+		for pos, v := range vals {
+			v.(*waiter).pos <- pos
+		}
+	})
+	return sh
+}
+
+// wait enqueues one waiter and blocks until its epoch is released,
+// returning its release position, or the caller's context error.
+func wait(ctx context.Context, sh *Shuffler) (int, error) {
+	w := &waiter{pos: make(chan int, 1)}
+	if err := sh.Enqueue(w); err != nil {
+		return 0, err
+	}
+	select {
+	case pos := <-w.pos:
+		return pos, nil
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+}
+
+// Shuffling off means no shuffler: a disabled one refuses to buffer
+// anything, and the layer sends each request as its own one-message
+// epoch right away.
 func TestShufflerDisabledIsImmediate(t *testing.T) {
 	for _, s := range []*Shuffler{nil, NewShuffler(0, 0, 0), NewShuffler(1, 0, 0)} {
-		start := time.Now()
-		if _, err := s.Wait(context.Background()); err != nil {
-			t.Fatalf("Wait: %v", err)
+		if err := s.Enqueue(1); err == nil {
+			t.Error("a disabled shuffler buffered a message")
 		}
-		if time.Since(start) > 50*time.Millisecond {
-			t.Error("disabled shuffler delayed the message")
-		}
+	}
+	l, err := New(Config{Role: RoleUA, PassThrough: true, Next: "http://ia", HopDialer: transport.NewNetwork(), ShuffleSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.Shuffler() != nil {
+		t.Fatal("S = 1 built a shuffler")
+	}
+	start := time.Now()
+	// Nobody listens at the next hop: the one-message epoch fails at
+	// once instead of waiting for a flush.
+	if _, _, err := l.handleUA(context.Background(), []byte("{}"), true); err == nil {
+		t.Fatal("forward to an absent next hop succeeded")
+	}
+	if time.Since(start) > time.Second {
+		t.Error("disabled shuffler delayed the message")
 	}
 }
 
@@ -35,13 +87,13 @@ func runBatch(t *testing.T, sh *Shuffler, n int) []int {
 		// enqueueing the next. Checking the flush counter rather than
 		// Pending()==0 matters: pending is also 0 *before* the message
 		// arrives, and exiting early there would let two goroutines
-		// race into Wait in arbitrary slot order.
+		// race into the epoch in arbitrary slot order.
 		want := sh.Pending() + 1
 		flushed, _ := sh.Stats()
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pos, err := sh.Wait(context.Background())
+			pos, err := wait(context.Background(), sh)
 			if err != nil {
 				t.Errorf("Wait: %v", err)
 				return
@@ -65,7 +117,7 @@ func runBatch(t *testing.T, sh *Shuffler, n int) []int {
 
 func TestShufflerReleasesFullBatchWithPermutation(t *testing.T) {
 	const s = 8
-	sh := NewShuffler(s, time.Minute, 0)
+	sh := newWaitShuffler(s, time.Minute, 0)
 	positions := runBatch(t, sh, s)
 
 	// The positions must be a permutation of 0..s-1.
@@ -88,7 +140,7 @@ func TestShufflerRandomizesOrder(t *testing.T) {
 	const s = 8
 	identityAlways := true
 	for trial := 0; trial < 4 && identityAlways; trial++ {
-		sh := NewShuffler(s, time.Minute, 0)
+		sh := newWaitShuffler(s, time.Minute, 0)
 		positions := runBatch(t, sh, s)
 		for i, p := range positions {
 			if p != i {
@@ -103,9 +155,9 @@ func TestShufflerRandomizesOrder(t *testing.T) {
 }
 
 func TestShufflerTimerFlushesPartialBatch(t *testing.T) {
-	sh := NewShuffler(10, 30*time.Millisecond, 0)
+	sh := newWaitShuffler(10, 30*time.Millisecond, 0)
 	start := time.Now()
-	if _, err := sh.Wait(context.Background()); err != nil {
+	if _, err := wait(context.Background(), sh); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
 	elapsed := time.Since(start)
@@ -118,10 +170,10 @@ func TestShufflerTimerFlushesPartialBatch(t *testing.T) {
 }
 
 func TestShufflerBlocksUntilBatchCompletes(t *testing.T) {
-	sh := NewShuffler(2, time.Minute, 0)
+	sh := newWaitShuffler(2, time.Minute, 0)
 	first := make(chan error, 1)
 	go func() {
-		_, err := sh.Wait(context.Background())
+		_, err := wait(context.Background(), sh)
 		first <- err
 	}()
 	select {
@@ -130,7 +182,7 @@ func TestShufflerBlocksUntilBatchCompletes(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	// Second message completes the batch; both release.
-	if _, err := sh.Wait(context.Background()); err != nil {
+	if _, err := wait(context.Background(), sh); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -148,7 +200,7 @@ func TestShufflerTableFullSheds(t *testing.T) {
 	// drop. Misconfigure it deliberately (table 100 < size 200): the
 	// flush threshold is never reached, the table saturates at 100, and
 	// further arrivals shed with ErrTableFull.
-	sh3 := NewShuffler(200, time.Minute, 100)
+	sh3 := newWaitShuffler(200, time.Minute, 100)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	shed, released := 0, 0
@@ -156,7 +208,7 @@ func TestShufflerTableFullSheds(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := sh3.Wait(context.Background())
+			_, err := wait(context.Background(), sh3)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -191,10 +243,10 @@ func TestShufflerTableFullSheds(t *testing.T) {
 }
 
 func TestShufflerContextCancellation(t *testing.T) {
-	sh := NewShuffler(10, time.Minute, 0)
+	sh := newWaitShuffler(10, time.Minute, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := sh.Wait(ctx)
+	_, err := wait(ctx, sh)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -205,10 +257,10 @@ func TestShufflerContextCancellation(t *testing.T) {
 }
 
 func TestShufflerCloseReleasesPending(t *testing.T) {
-	sh := NewShuffler(10, time.Minute, 0)
+	sh := newWaitShuffler(10, time.Minute, 0)
 	done := make(chan error, 1)
 	go func() {
-		_, err := sh.Wait(context.Background())
+		_, err := wait(context.Background(), sh)
 		done <- err
 	}()
 	for i := 0; i < 1000 && sh.Pending() == 0; i++ {
@@ -230,7 +282,7 @@ func TestShufflerCloseReleasesPending(t *testing.T) {
 }
 
 func TestShufflerSizeAccessor(t *testing.T) {
-	if got := NewShuffler(7, 0, 0).Size(); got != 7 {
+	if got := newWaitShuffler(7, 0, 0).Size(); got != 7 {
 		t.Errorf("Size = %d", got)
 	}
 }
@@ -260,8 +312,8 @@ func TestShufflerSeedUnpredictable(t *testing.T) {
 
 	var seed [32]byte
 	seed[0] = 42
-	if !equal(seq(NewShufflerSeeded(s, time.Minute, 0, seed)),
-		seq(NewShufflerSeeded(s, time.Minute, 0, seed))) {
+	if !equal(seq(withWaitSink(NewShufflerSeeded(s, time.Minute, 0, seed))),
+		seq(withWaitSink(NewShufflerSeeded(s, time.Minute, 0, seed)))) {
 		t.Error("seeded shuffler is not deterministic for a fixed seed")
 	}
 
@@ -269,7 +321,7 @@ func TestShufflerSeedUnpredictable(t *testing.T) {
 	// streams collide with probability (1/8!)⁴ ≈ 0; under the old
 	// time-based seeding, shufflers born in the same clock tick shared
 	// the stream.
-	if equal(seq(NewShuffler(s, time.Minute, 0)), seq(NewShuffler(s, time.Minute, 0))) {
+	if equal(seq(newWaitShuffler(s, time.Minute, 0)), seq(newWaitShuffler(s, time.Minute, 0))) {
 		t.Error("two production shufflers produced identical permutation streams")
 	}
 }
@@ -278,11 +330,11 @@ func TestShufflerSeedUnpredictable(t *testing.T) {
 // caller that gives up leaves its slot in the buffer, so later arrivals
 // still reach the flush threshold instead of waiting for the timer.
 func TestShufflerDepartedCallersAdvanceFlush(t *testing.T) {
-	sh := NewShuffler(3, time.Minute, 0)
+	sh := newWaitShuffler(3, time.Minute, 0)
 	for i := 0; i < 2; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := sh.Wait(ctx); !errors.Is(err, context.Canceled) {
+		if _, err := wait(ctx, sh); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Wait with departed caller: err = %v", err)
 		}
 	}
@@ -293,7 +345,7 @@ func TestShufflerDepartedCallersAdvanceFlush(t *testing.T) {
 	// away (the timer is a minute out), at a position drawn over the full
 	// 3-slot batch including the departed slots.
 	start := time.Now()
-	pos, err := sh.Wait(context.Background())
+	pos, err := wait(context.Background(), sh)
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
@@ -314,11 +366,11 @@ func TestShufflerDepartedCallersAdvanceFlush(t *testing.T) {
 // never flush (the pre-terminal behavior silently re-armed the timer and
 // kept "serving" during shutdown, racing the HTTP server teardown).
 func TestShufflerCloseTerminal(t *testing.T) {
-	sh := NewShuffler(10, 30*time.Millisecond, 0)
+	sh := newWaitShuffler(10, 30*time.Millisecond, 0)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := sh.Wait(context.Background()); err != nil {
+		if _, err := wait(context.Background(), sh); err != nil {
 			t.Errorf("Wait before Close: %v", err)
 		}
 	}()
@@ -328,7 +380,7 @@ func TestShufflerCloseTerminal(t *testing.T) {
 	sh.Close()
 	<-done
 
-	if _, err := sh.Wait(context.Background()); !errors.Is(err, ErrShufflerClosed) {
+	if _, err := wait(context.Background(), sh); !errors.Is(err, ErrShufflerClosed) {
 		t.Fatalf("Wait after Close: err = %v, want ErrShufflerClosed", err)
 	}
 	if err := sh.Enqueue("late"); !errors.Is(err, ErrShufflerClosed) {
@@ -340,12 +392,12 @@ func TestShufflerCloseTerminal(t *testing.T) {
 	sh.Close() // idempotent
 }
 
-// TestShufflerCloseRace hammers Close against concurrent Wait admissions:
+// TestShufflerCloseRace hammers Close against concurrent admissions:
 // every waiter must resolve (batch release, flush-on-close, or
 // ErrShufflerClosed) — none may hang, and none may park after the close.
 func TestShufflerCloseRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		sh := NewShuffler(4, time.Hour, 0)
+		sh := newWaitShuffler(4, time.Hour, 0)
 		const waiters = 32
 		errs := make(chan error, waiters)
 		var wg sync.WaitGroup
@@ -355,7 +407,7 @@ func TestShufflerCloseRace(t *testing.T) {
 				defer wg.Done()
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 				defer cancel()
-				_, err := sh.Wait(ctx)
+				_, err := wait(ctx, sh)
 				errs <- err
 			}()
 		}
@@ -392,7 +444,7 @@ func TestShufflerPermutationUniformity(t *testing.T) {
 		counts[i] = make([]int, s)
 	}
 	for b := 0; b < batches; b++ {
-		sh := NewShuffler(s, time.Minute, 0)
+		sh := newWaitShuffler(s, time.Minute, 0)
 		positions := runBatch(t, sh, s)
 		for arrival, release := range positions {
 			counts[arrival][release]++
@@ -485,52 +537,6 @@ func TestShufflerBatchTimerFlush(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("timer never flushed the partial epoch to the sink")
-	}
-}
-
-// TestShufflerMixedWaitAndEnqueue: waiter slots and batch values share
-// one epoch — the flush threshold counts both, waiters get positions and
-// the sink gets the values.
-func TestShufflerMixedWaitAndEnqueue(t *testing.T) {
-	sh := NewShuffler(4, time.Hour, 0)
-	vals := make(chan []any, 1)
-	sh.SetBatchSink(func(v []any) {
-		batch := make([]any, len(v))
-		copy(batch, v)
-		vals <- batch
-	})
-	type waitRes struct {
-		pos int
-		err error
-	}
-	waited := make(chan waitRes, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			pos, err := sh.Wait(context.Background())
-			waited <- waitRes{pos, err}
-		}()
-	}
-	for i := 0; i < 1000 && sh.Pending() < 2; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if err := sh.Enqueue("a"); err != nil {
-		t.Fatalf("Enqueue: %v", err)
-	}
-	if err := sh.Enqueue("b"); err != nil {
-		t.Fatalf("Enqueue: %v", err)
-	}
-	batch := <-vals
-	if len(batch) != 2 {
-		t.Fatalf("sink got %d values, want 2", len(batch))
-	}
-	for i := 0; i < 2; i++ {
-		r := <-waited
-		if r.err != nil {
-			t.Errorf("waiter: %v", r.err)
-		}
-		if r.pos < 0 || r.pos >= 4 {
-			t.Errorf("waiter position %d out of the epoch's range", r.pos)
-		}
 	}
 }
 

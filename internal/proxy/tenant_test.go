@@ -8,6 +8,7 @@ import (
 
 	"pprox/internal/client"
 	"pprox/internal/enclave"
+	"pprox/internal/hopwire"
 	"pprox/internal/lrs/engine"
 	"pprox/internal/lrs/store"
 	"pprox/internal/ppcrypto"
@@ -73,11 +74,11 @@ func newTenantStack(t *testing.T, tenants []string) *tenantStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd := transport.Serve(l, engine.NewMultiHandler(st.engines, nil))
+	sd := hopwire.ServeHTTPAndFrames(l, engine.NewMultiHandler(st.engines, nil))
 	t.Cleanup(func() { sd() })
 
 	httpClient := transport.HTTPClient(st.net, 10*time.Second)
-	ia, err := proxy.New(proxy.Config{Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs", HTTPClient: httpClient})
+	ia, err := proxy.New(proxy.Config{Role: proxy.RoleIA, Enclave: st.iaEncl, Next: "http://lrs", HTTPClient: httpClient, HopDialer: st.net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +86,10 @@ func newTenantStack(t *testing.T, tenants []string) *tenantStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd2 := transport.Serve(l2, ia)
+	sd2 := hopwire.ServeHTTPAndFrames(l2, ia)
 	t.Cleanup(func() { sd2() })
 
-	ua, err := proxy.New(proxy.Config{Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia", HTTPClient: httpClient})
+	ua, err := proxy.New(proxy.Config{Role: proxy.RoleUA, Enclave: st.uaEncl, Next: "http://ia", HTTPClient: httpClient, HopDialer: st.net})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,30 +1,21 @@
 package telemetry
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
-	"time"
 
 	"pprox/internal/hopwire"
 	"pprox/internal/message"
 	"pprox/internal/transport"
 )
 
-// Client pushes snapshots to a collector address, preferring persistent
-// hopwire frame connections (one FrameTelemetry frame per push) and
-// falling back to HTTP POST /telemetry when the collector does not speak
-// frames. The fallback latches via the hopwire client's cooldown, so a
-// frame-illiterate collector costs one probe per cooldown window, not
-// one per epoch.
+// Client pushes snapshots to a collector address over persistent hopwire
+// frame connections, one FrameTelemetry frame per push.
 type Client struct {
-	addr string
-	hop  *hopwire.Client
-	http *http.Client
+	hop *hopwire.Client
 
 	pushes atomic.Uint64
 	errs   atomic.Uint64
@@ -39,66 +30,34 @@ func NewClient(d transport.Dialer, addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{
-		addr: addr,
-		hop:  hop,
-		http: transport.HTTPClient(d, 10*time.Second),
-	}, nil
+	return &Client{hop: hop}, nil
 }
 
 // Push delivers one encoded snapshot.
 func (c *Client) Push(ctx context.Context, body []byte) error {
 	c.pushes.Add(1)
-	err := c.push(ctx, body)
+	status, _, err := c.hop.RoundTrip(ctx, message.TelemetryPath, body)
+	if err == nil && status >= http.StatusMultipleChoices {
+		err = fmt.Errorf("telemetry: collector returned %d", status)
+	}
 	if err != nil {
 		c.errs.Add(1)
 	}
 	return err
 }
 
-func (c *Client) push(ctx context.Context, body []byte) error {
-	status, _, err := c.hop.RoundTrip(ctx, message.TelemetryPath, body)
-	if err == nil {
-		if status >= http.StatusMultipleChoices {
-			return fmt.Errorf("telemetry: collector returned %d", status)
-		}
-		return nil
-	}
-	if !errors.Is(err, hopwire.ErrUnsupported) {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+c.addr+message.TelemetryPath, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	if resp.StatusCode >= http.StatusMultipleChoices {
-		return fmt.Errorf("telemetry: collector returned %d", resp.StatusCode)
-	}
-	return nil
-}
-
 // Stats reports transport counters for embedding in the next snapshot.
 func (c *Client) Stats() TransportStats {
 	hs := c.hop.Stats()
 	return TransportStats{
-		Pushes:    c.pushes.Load(),
-		Errors:    c.errs.Load(),
-		Dials:     hs.Dials,
-		Reuses:    hs.Reuses,
-		Fallbacks: hs.Fallbacks,
+		Pushes: c.pushes.Load(),
+		Errors: c.errs.Load(),
+		Dials:  hs.Dials,
+		Reuses: hs.Reuses,
 	}
 }
 
 // Close releases pooled frame connections.
 func (c *Client) Close() {
 	c.hop.Close()
-	c.http.CloseIdleConnections()
 }

@@ -71,7 +71,7 @@ type Snapshot struct {
 	Deltas map[string]float64 `json:"deltas,omitempty"`
 
 	// Transport describes the push channel itself, so the fleet view
-	// shows telemetry-plane health (frame reuse, HTTP fallbacks).
+	// shows telemetry-plane health (frame reuse, push errors).
 	Transport TransportStats `json:"transport"`
 
 	// Fleet carries the elastic-fleet view — registry membership and
@@ -87,10 +87,8 @@ type TransportStats struct {
 	// Pushes and Errors count snapshot delivery attempts.
 	Pushes uint64 `json:"pushes"`
 	Errors uint64 `json:"errors,omitempty"`
-	// Dials, Reuses and Fallbacks describe the hopwire client pool:
-	// fresh frame connections, pooled reuses, and HTTP fallbacks taken
-	// when the collector spoke no frames.
-	Dials     uint64 `json:"dials,omitempty"`
-	Reuses    uint64 `json:"reuses,omitempty"`
-	Fallbacks uint64 `json:"fallbacks,omitempty"`
+	// Dials and Reuses describe the hopwire client pool: fresh frame
+	// connections and pooled reuses.
+	Dials  uint64 `json:"dials,omitempty"`
+	Reuses uint64 `json:"reuses,omitempty"`
 }
